@@ -7,11 +7,12 @@ whose six off-diagonal entries all equal (e^{-i phi} - 1)/3.  The closed form
 is the canonical output; the explicit product is kept as a self-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormMismatch
+from .errors import ClosedFormMismatch, ValidationError
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -50,8 +51,10 @@ def compose(phi: float, check_tol: float = 1e-12) -> np.ndarray:
     entry, exactly).  The explicit product tritter2 @ phase @ tritter1 is
     computed alongside and compared; disagreement beyond ``check_tol`` raises
     ClosedFormMismatch, which signals an implementation bug rather than bad
-    input.
+    input.  A non-finite ``phi`` raises ValidationError.
     """
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
     e = np.exp(-1j * float(phi))
     diag = (e + 2.0) / 3.0
     off = (e - 1.0) / 3.0
@@ -60,7 +63,7 @@ def compose(phi: float, check_tol: float = 1e-12) -> np.ndarray:
 
     product = tritter2_matrix() @ phase_matrix(phi) @ tritter1_matrix()
     dev = np.max(np.abs(product - closed))
-    if dev > check_tol:
+    if not dev <= check_tol:  # a NaN deviation fails too
         raise ClosedFormMismatch(
             f"product deviates from closed form by {dev:.3e} at phi={phi!r}"
         )

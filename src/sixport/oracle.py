@@ -57,6 +57,9 @@ class HeraldSpec:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         if not self.alpha_mag >= 0:
             raise ValueError(f"alpha_mag must be >= 0, got {self.alpha_mag!r}")
+        for name in ("alpha_mag", "phi", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def alpha(self) -> complex:

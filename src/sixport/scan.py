@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .errors import AxisNotSymmetric, QuantityMismatch
 from .interferometer import derived_coeffs
@@ -23,6 +22,13 @@ QUANTITIES = ("probability", "var_x", "var_p")
 
 ALPHA_BOX = (0.0, 10.0)          # optimization constraint box
 PHI_BOX = (0.0, 2.0 * math.pi)
+
+# grid zoom: best coarse cells kept, points per box axis, half-width shrink
+# per level, and the half-width at which the zoom stops
+_ZOOM_INCUMBENTS = 4
+_ZOOM_POINTS = 17
+_ZOOM_SHRINK = 4.0
+_ZOOM_XATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,13 +123,22 @@ def _phase_factors(phi_axis: np.ndarray, mirror: bool) -> np.ndarray:
 
 def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
             phase: np.ndarray | None = None):
-    """Probability, var_x, var_p arrays of shape (len(alpha), len(phi))."""
-    alpha = np.asarray(alpha_axis, dtype=float).reshape(-1, 1)
-    phi = np.asarray(phi_axis, dtype=float).reshape(1, -1)
-    shape = (alpha.shape[0], phi.shape[1])
+    """Probability, var_x, var_p arrays over (|alpha|, phi).
+
+    Two 1-D axes give the outer-product grid of shape (len(alpha), len(phi)).
+    Otherwise the two arrays broadcast against each other as they are, so
+    alpha of shape (K, m, 1) with phi of shape (K, 1, m) evaluates K grids in
+    one call.  ``phase`` holds e^{-i phi} in the shape of ``phi``.
+    """
+    alpha = np.asarray(alpha_axis, dtype=float)
+    phi = np.asarray(phi_axis, dtype=float)
+    if alpha.ndim == 1 and phi.ndim == 1:
+        alpha = alpha.reshape(-1, 1)
+        phi = phi.reshape(1, -1)
+    shape = np.broadcast_shapes(alpha.shape, phi.shape)
 
     e = (np.exp(-1j * phi) if phase is None
-         else np.asarray(phase, dtype=complex).reshape(1, -1))
+         else np.asarray(phase, dtype=complex).reshape(phi.shape))
     diag = (e + 2.0) / 3.0
     off = (e - 1.0) / 3.0
     U = np.empty((3, 3) + e.shape, dtype=complex)
@@ -216,41 +231,39 @@ def feasibility_mask(grid: ScanGrid) -> np.ndarray:
         return grid.values < 0.5
 
 
-def minimize_variance(family, coarse_resolution: int = 400,
-                      max_refine_evals: int = 5000) -> OptResult:
+def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
     """Minimum x-quadrature variance over the constraint box.
 
-    Two stages: a coarse grid scan (ties broken toward smaller |alpha|, then
-    smaller phi), then a bounded Nelder-Mead refinement started at the best
-    coarse cell.  Both stages are deterministic.
+    Coarse mirror-half grid plus a deterministic 4-incumbent grid zoom.  The
+    coarse stage evaluates the phi <= pi half of the ``scan`` grid with
+    ``coarse_resolution`` points per axis; the other half mirrors it
+    bit-exactly.  Its four best cells (ties broken toward smaller |alpha|,
+    then smaller phi) are the incumbents of the zoom, which shrinks 17x17
+    boxes around them 4x per level (``_nm_minimize``).  ``evaluations``
+    counts the points both stages evaluated.
     """
     index = _family_index(family)
     if index <= 4:
         # coherent family: variance is 0.5 identically
         prob, _, _ = _fields(index, np.array([0.0]), np.array([0.0]))
         return OptResult(0.0, 0.0, 0.5, 0.0, float(prob[0, 0]), 0)
+    if coarse_resolution < 2:
+        raise ValueError("coarse_resolution must be at least 2")
 
-    alpha_axis = np.linspace(*ALPHA_BOX, coarse_resolution)
-    phi_axis = np.linspace(*PHI_BOX, coarse_resolution)
-    _, var_x, _ = _fields(index, alpha_axis, phi_axis)
+    n = coarse_resolution
+    alpha_axis = np.linspace(*ALPHA_BOX, n)
+    phi_axis = _mirrored_axis(*PHI_BOX, n)
+    half = (n + 1) // 2
+    phase = _phase_factors(phi_axis, mirror=True)
+    _, var_x, _ = _fields(index, alpha_axis, phi_axis[:half], phase[:half])
     filled = np.where(np.isnan(var_x), np.inf, var_x)
-    flat_best = int(np.argmin(filled))          # row-major: alpha ties first
-    ia, ip = np.unravel_index(flat_best, filled.shape)
-    x0 = np.array([alpha_axis[ia], phi_axis[ip]])
-
-    def objective(x):
-        _, vx, _ = _fields(index, np.array([x[0]]), np.array([x[1]]))
-        v = vx[0, 0]
-        return 1e300 if np.isnan(v) else float(v)
-
-    result = _nm_minimize(
-        objective, x0, method="Nelder-Mead",
-        bounds=[ALPHA_BOX, PHI_BOX],
-        options={"xatol": 1e-10, "fatol": 1e-10, "maxfev": max_refine_evals},
-    )
-    best = min(float(result.fun), float(filled[ia, ip]))
-    a_opt, p_opt = (float(result.x[0]), float(result.x[1])) \
-        if float(result.fun) <= float(filled[ia, ip]) else (float(x0[0]), float(x0[1]))
+    # stable row-major order: alpha ties first, then phi
+    order = np.argsort(filled, axis=None, kind="stable")[:_ZOOM_INCUMBENTS]
+    ia, ip = np.unravel_index(order, filled.shape)
+    cell = ((ALPHA_BOX[1] - ALPHA_BOX[0]) / (n - 1),
+            (PHI_BOX[1] - PHI_BOX[0]) / (n - 1))
+    a_opt, p_opt, best, zoomed = _nm_minimize(
+        index, alpha_axis[ia], phi_axis[ip], filled.reshape(-1)[order], cell)
     prob, _, _ = _fields(index, np.array([a_opt]), np.array([p_opt]))
     return OptResult(
         alpha_opt=a_opt,
@@ -258,8 +271,45 @@ def minimize_variance(family, coarse_resolution: int = 400,
         var_min=best,
         squeeze_db=squeeze_db(best),
         probability_at_opt=float(prob[0, 0]),
-        evaluations=coarse_resolution * coarse_resolution + int(result.nfev),
+        evaluations=var_x.size + zoomed,
     )
+
+
+# the benchmark's tracer looks the refinement up by this name (scan.refine_s)
+def _nm_minimize(index: int, alpha, phi, values, cell):
+    """Grid zoom around incumbents (alpha[k], phi[k]) with var_x ``values``.
+
+    Each level lays a 17x17 box of half-width ``cell`` (per axis) around every
+    incumbent, clipped to the constraint box, and evaluates all boxes in one
+    ``_fields`` call.  An incumbent moves to its box minimum when that is no
+    worse (NaN counts as +inf); the half-width then shrinks 4x, until it is at
+    most 1e-10.  Returns (alpha, phi, var_x) of the best incumbent, first
+    wins ties, and the number of points evaluated.
+    """
+    alpha = np.array(alpha, dtype=float)
+    phi = np.array(phi, dtype=float)
+    values = np.array(values, dtype=float)
+    k = np.arange(len(values))
+    steps = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    h_alpha, h_phi = cell
+    evaluations = 0
+    while max(h_alpha, h_phi) > _ZOOM_XATOL:
+        box_a = np.clip(alpha[:, None] + h_alpha * steps, *ALPHA_BOX)
+        box_p = np.clip(phi[:, None] + h_phi * steps, *PHI_BOX)
+        _, var_x, _ = _fields(index, box_a[:, :, None], box_p[:, None, :])
+        evaluations += var_x.size
+        filled = np.where(np.isnan(var_x), np.inf, var_x).reshape(len(k), -1)
+        j = np.argmin(filled, axis=1)
+        found = filled[k, j]
+        moved = found <= values
+        ja, jp = np.unravel_index(j, var_x.shape[1:])
+        alpha = np.where(moved, box_a[k, ja], alpha)
+        phi = np.where(moved, box_p[k, jp], phi)
+        values = np.where(moved, found, values)
+        h_alpha /= _ZOOM_SHRINK
+        h_phi /= _ZOOM_SHRINK
+    best = int(np.argmin(values))
+    return float(alpha[best]), float(phi[best]), float(values[best]), evaluations
 
 
 def symmetry_report(grid: ScanGrid, axis_tol: float = 1e-9) -> float:

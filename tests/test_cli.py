@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,41 @@ def test_float_serialization_roundtrip(capsys):
     assert payload["norm"] == st.norm
     assert payload["probability"] == st.probability
     assert payload["c1"] == [st.c1.real, st.c1.imag]
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--phi", "nan"),
+    ("matrix", "--phi", "inf"),
+    ("state", "--n2", "1", "--n3", "1", "--m2", "1", "--m3", "1",
+     "--alpha", "inf", "--phi", "2"),
+])
+def test_non_finite_inputs_are_validation_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    import sixport
+    env = dict(os.environ, PYTHONPATH=str(Path(sixport.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _run_python(
+        "import sys, sixport.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_optimize_runs_without_scipy():
+    proc = _run_python(
+        "import runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "sys.argv = ['sixport', 'optimize', '--family', 'psi5', '--coarse-res', '50']\n"
+        "runpy.run_module('sixport.cli', run_name='__main__')")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["var_min"] < 0.5

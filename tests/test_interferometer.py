@@ -5,6 +5,7 @@ import pytest
 
 from sixport import (
     ClosedFormMismatch,
+    ValidationError,
     compose,
     derived_coeffs,
     is_unitary,
@@ -118,3 +119,14 @@ def test_derived_coeffs_term_by_term_at_pi():
     ]
     for got, want in zip((D.tau1, D.tau2, D.tau3, D.tau4, D.tau5), taus):
         assert abs(got - want) < 1e-14
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_compose_rejects_non_finite_phase(phi):
+    with pytest.raises(ValidationError):
+        compose(phi)
+
+
+def test_compose_mismatch_detector_fires_on_nan_deviation():
+    with pytest.raises(ClosedFormMismatch):
+        compose(1.0, check_tol=math.nan)

@@ -271,3 +271,11 @@ def test_spec_validation():
         HeraldSpec(-1, 0, 0, 0, alpha_mag=1.0, phi=0.0)
     with pytest.raises(ValueError):
         HeraldSpec(0, 0, 0, 0, alpha_mag=-2.0, phi=0.0)
+
+
+@pytest.mark.parametrize("field", ["alpha_mag", "phi", "theta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite(field, value):
+    kwargs = {"alpha_mag": 1.0, "phi": 0.5, "theta": 0.0, field: value}
+    with pytest.raises(ValueError):
+        HeraldSpec(1, 1, 1, 1, **kwargs)
