@@ -29,11 +29,7 @@ print(f"\npsi16 squeezing region covers {100 * frac:.1f}% of the parameter box "
       f"(200 x 200 grid).")
 
 with open("psi16_var_x.csv", "w", encoding="utf-8") as fh:
-    fh.write("alpha,phi,value\n")
-    for i, a in enumerate(grid.alpha_axis):
-        for j, p in enumerate(grid.phi_axis):
-            v = grid.values[i, j]
-            fh.write(f"{a:.17g},{p:.17g},{'nan' if np.isnan(v) else format(v, '.17g')}\n")
+    fh.write(grid.to_csv())
 print("Wrote psi16_var_x.csv (plot it with your tool of choice).")
 
 print("\nCaution on the p quadrature: for the families mixing the coherent")

@@ -307,16 +307,13 @@ def _cmd_scan(args) -> str:
         raise ValidationError("--res must be at least 2")
     if not (args.alpha_min < args.alpha_max and args.phi_min < args.phi_max):
         raise ValidationError("ranges must satisfy min < max")
-    grid = scan(label, quantity,
-                (args.alpha_min, args.alpha_max),
-                (args.phi_min, args.phi_max), args.res)
-    lines = ["alpha,phi,value"]
-    for i, a in enumerate(grid.alpha_axis):
-        for j, p in enumerate(grid.phi_axis):
-            v = grid.values[i, j]
-            text = "nan" if math.isnan(v) else format(v, ".17g")
-            lines.append(f"{format(a, '.17g')},{format(p, '.17g')},{text}")
-    return "\n".join(lines) + "\n"
+    try:
+        grid = scan(label, quantity,
+                    (args.alpha_min, args.alpha_max),
+                    (args.phi_min, args.phi_max), args.res)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    return grid.to_csv()
 
 
 def _cmd_optimize(args) -> str:

@@ -8,6 +8,7 @@ variance grids; every consumer here treats NaN as "no state".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,11 @@ _ZOOM_POINTS = 17
 _ZOOM_SHRINK = 4.0
 _ZOOM_XATOL = 1e-10
 
+# grid cells per block of the moment sums: 128 KiB per complex array keeps a
+# block's dozen operands inside a 2 MiB L2 cache (fastest of 1024..16384 on a
+# 2 MiB-L2 Xeon)
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class ScanGrid:
@@ -46,6 +52,19 @@ class ScanGrid:
             raise ValueError("axes must be strictly increasing")
         if self.values.shape != (len(self.alpha_axis), len(self.phi_axis)):
             raise ValueError("values shape does not match axes")
+
+    def to_csv(self) -> str:
+        """``alpha,phi,value`` rows, row-major, floats at 17 significant digits.
+
+        NaN sentinels print as ``nan``.  Each axis value is formatted once and
+        each alpha row is rendered by a single ``%`` over its values.
+        """
+        cells = ["," + "%.17g" % p + ",%.17g" for p in self.phi_axis.tolist()]
+        lines = ["alpha,phi,value"]
+        for a, row in zip(self.alpha_axis.tolist(), self.values.tolist()):
+            head = "%.17g" % a
+            lines.append("\n".join([head + cell for cell in cells]) % tuple(row))
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -72,22 +91,39 @@ def _binom(n: int, k: int) -> float:
     return float(math.comb(n, k))
 
 
-def _antinormal(hr: int, k: int, l: int, hl: int, b_pow, bc_pow):
-    """<beta| a^hr a^dagger^k a^l a^dagger^hl |beta> from power tables.
-
-    ``b_pow[q]`` and ``bc_pow[p]`` hold beta**q and conj(beta)**p on the grid.
-    """
-    total = 0.0
+@functools.lru_cache(maxsize=None)
+def _antinormal_terms(hr: int, k: int, l: int, hl: int):
+    """(cr, p, q) with <beta| a^hr a^dagger^k a^l a^dagger^hl |beta> the sum
+    of cr conj(beta)**p beta**q over the terms, in summation order."""
+    terms = []
     for i in range(min(hr, k) + 1):
         ci = math.factorial(i) * _binom(hr, i) * _binom(k, i)
         for j in range(min(l, hl) + 1):
             cj = ci * math.factorial(j) * _binom(l, j) * _binom(hl, j)
             for r in range(min(hr - i, hl - j) + 1):
                 cr = cj * math.factorial(r) * _binom(hr - i, r) * _binom(hl - j, r)
-                p = (k - i) + (hl - j - r)
-                q = (hr - i - r) + (l - j)
-                total = total + cr * bc_pow[p] * b_pow[q]
-    return total
+                terms.append((cr, (k - i) + (hl - j - r), (hr - i - r) + (l - j)))
+    return tuple(terms)
+
+
+def _antinormal(hr: int, k: int, l: int, hl: int, b_pow, bc_pow, out, scratch):
+    """<beta| a^hr a^dagger^k a^l a^dagger^hl |beta> from power tables.
+
+    ``b_pow[q]`` and ``bc_pow[p]`` hold beta**q and conj(beta)**p on the grid.
+    The sum accumulates into ``out``; ``scratch`` holds two more buffers of
+    its shape.  Each term is ``(cr * bc_pow[p]) * b_pow[q]`` with the operands
+    in that order, and no product is written over its own operand: numpy's
+    complex multiply fuses multiply-adds on CPUs that have them, so swapped
+    operands can move the last bit, and so can a one-cell product written in
+    place, which numpy runs through its unfused loop.
+    """
+    t1, t2 = scratch
+    for n, (cr, p, q) in enumerate(_antinormal_terms(hr, k, l, hl)):
+        np.multiply(cr, bc_pow[p], out=t1)
+        np.multiply(t1, b_pow[q], out=t2)
+        # the first term lands as 0.0 + term, as in a sum started at zero
+        np.add(out if n else 0.0, t2, out=out)
+    return out
 
 
 def _mirrored_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -122,8 +158,12 @@ def _phase_factors(phi_axis: np.ndarray, mirror: bool) -> np.ndarray:
 
 
 def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
-            phase: np.ndarray | None = None):
-    """Probability, var_x, var_p arrays over (|alpha|, phi).
+            phase: np.ndarray | None = None, quantities=QUANTITIES):
+    """Grids of the named ``quantities`` over (|alpha|, phi), in that order.
+
+    Only the quantities asked for are computed: probability alone skips the
+    moment sums, variances skip the probability exponential, and var_x alone
+    skips var_p.  Each value is bit-identical whatever else is asked for.
 
     Two 1-D axes give the outer-product grid of shape (len(alpha), len(phi)).
     Otherwise the two arrays broadcast against each other as they are, so
@@ -150,50 +190,80 @@ def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
     cs = row_coefficients(index, U, D, alpha.astype(complex))
     seed = diag * alpha
     norm = normalization(*cs, seed) + np.zeros(shape)
-    prob = norm * np.exp((np.abs(diag) ** 2 - 1.0) * alpha ** 2)
-    forbidden = norm < NORM_FLOOR
+    fields = {}
+    if "probability" in quantities:
+        fields["probability"] = norm * np.exp((np.abs(diag) ** 2 - 1.0) * alpha ** 2)
+    variances = [q for q in ("var_x", "var_p") if q in quantities]
+    if variances:
+        fields.update(_variances(cs, seed, norm, variances))
+    return tuple(fields[q] for q in quantities)
 
-    prob = np.broadcast_to(prob, shape).copy()
-    deg = max((d for d, c in enumerate(cs) if np.any(c != 0)), default=0)
+
+def _variances(cs, seed, norm, names) -> dict:
+    """var_x and/or var_p (as ``names`` asks) of the row ``cs`` over the grid.
+
+    The moment sums run over the flattened grid in blocks of ``_BLOCK``
+    cells, so that each block's operands stay in cache, and accumulate in
+    place.  Every cell's arithmetic is the same whatever the block size.
+    """
+    shape = norm.shape
+    forbidden = norm < NORM_FLOOR
+    live = [(h, c) for h, c in enumerate(cs) if np.any(c != 0)]
+    deg = max((h for h, _ in live), default=0)
     if deg == 0:
         # purely coherent row: both quadrature variances are exactly vacuum
-        var_x = np.full(shape, 0.5)
-        var_p = np.full(shape, 0.5)
-        var_x[forbidden] = np.nan
-        var_p[forbidden] = np.nan
-        return prob, var_x, var_p
+        out = {name: np.full(shape, 0.5) for name in names}
+        for v in out.values():
+            v[forbidden] = np.nan
+        return out
 
-    # cumulative products keep the power tables conjugation-exact
-    b_pow = [np.ones(shape, dtype=complex)]
+    # cumulative products keep the power tables conjugation-exact; sums
+    # reach beta**(deg + 2) and conj(beta)**(deg + 1).  The zeroth powers are
+    # one broadcast element: every product with 1 + 0j is exact, so no loop
+    # numpy picks for them can move a bit.
+    size = norm.size
+    seed = seed.reshape(-1)
+    b_pow = [np.ones(1, dtype=complex)]
     for _ in range(deg + 2):
         b_pow.append(b_pow[-1] * seed)
-    bc_pow = [np.conjugate(p) for p in b_pow]
+    bc_pow = [np.conjugate(p) for p in b_pow[:deg + 2]]
+    block = min(size, _BLOCK)
+    t1, t2, anti = (np.empty(block, dtype=complex) for _ in range(3))
+    # <a>, <a^dagger a>, <a^2> unnormalized, each summed over the (hl, hr)
+    # pairs in the same order
+    sums = {kl: np.zeros(size, dtype=complex) for kl in ((0, 1), (1, 1), (0, 2))}
+    for hl, c_l in live:
+        for hr, c_r in live:
+            # kept as one full-grid expression: from 256 KiB on numpy computes
+            # it in the conjugate's buffer with the operands swapped, which
+            # moves last bits under fused multiply-adds; the grids keep
+            # whichever order numpy picks
+            weight = np.broadcast_to(c_l * np.conjugate(c_r), shape).reshape(-1)
+            for start in range(0, size, block):
+                cut = slice(start, start + block)
+                n = min(block, size - start)
+                b_cut = b_pow[:1] + [b[cut] for b in b_pow[1:]]
+                bc_cut = bc_pow[:1] + [b[cut] for b in bc_pow[1:]]
+                for (k, l), total in sums.items():
+                    _antinormal(hr, k, l, hl, b_cut, bc_cut, anti[:n], (t1[:n], t2[:n]))
+                    np.multiply(weight[cut], anti[:n], out=t1[:n])
+                    total[cut] += t1[:n]
 
-    def weighted(k: int, l: int):
-        total = np.zeros(shape, dtype=complex)
-        for hl, c_l in enumerate(cs):
-            if not np.any(c_l != 0):
-                continue
-            for hr, c_r in enumerate(cs):
-                if not np.any(c_r != 0):
-                    continue
-                total = total + (c_l * np.conjugate(c_r)
-                                 * _antinormal(hr, k, l, hl, b_pow, bc_pow))
-        return total
-
+    out = {}
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_norm = np.where(forbidden, 1.0, norm)
-        first = weighted(0, 1) / safe_norm
-        n_bar = np.real(weighted(1, 1)) / safe_norm
-        a_sq = weighted(0, 2) / safe_norm
-        var_x = 0.5 + n_bar + np.real(a_sq) - 2.0 * np.real(first) ** 2
-        var_p = 0.5 + n_bar - np.real(a_sq) - 2.0 * np.imag(first) ** 2
-
-    var_x = np.broadcast_to(var_x, shape).copy()
-    var_p = np.broadcast_to(var_p, shape).copy()
-    var_x[forbidden] = np.nan
-    var_p[forbidden] = np.nan
-    return prob, var_x, var_p
+        first = sums[0, 1].reshape(shape)
+        first /= safe_norm
+        n_bar = np.real(sums[1, 1].reshape(shape)) / safe_norm
+        a_sq = sums[0, 2].reshape(shape)
+        a_sq /= safe_norm
+        if "var_x" in names:
+            out["var_x"] = 0.5 + n_bar + np.real(a_sq) - 2.0 * np.real(first) ** 2
+        if "var_p" in names:
+            out["var_p"] = 0.5 + n_bar - np.real(a_sq) - 2.0 * np.imag(first) ** 2
+    for v in out.values():
+        v[forbidden] = np.nan
+    return out
 
 
 def evaluate_point(family, alpha_mag: float, phi: float):
@@ -205,9 +275,17 @@ def evaluate_point(family, alpha_mag: float, phi: float):
 
 def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
          resolution: int | tuple[int, int] = 200) -> ScanGrid:
-    """Dense landscape of one quantity for one family."""
+    """Dense landscape of one quantity for one family.
+
+    Only the requested quantity is computed.  Both ranges must be finite and
+    |alpha| non-negative (``ValueError`` otherwise).
+    """
     if quantity not in QUANTITIES:
         raise QuantityMismatch(f"unknown quantity {quantity!r}")
+    if not all(math.isfinite(v) for v in (*alpha_range, *phi_range)):
+        raise ValueError("scan ranges must be finite")
+    if alpha_range[0] < 0:
+        raise ValueError("alpha range must start at |alpha| >= 0")
     index = _family_index(family)
     if isinstance(resolution, int):
         res_a = res_p = resolution
@@ -218,8 +296,7 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
     alpha_axis = np.linspace(alpha_range[0], alpha_range[1], res_a)
     phi_axis = _mirrored_axis(phi_range[0], phi_range[1], res_p)
     phase = _phase_factors(phi_axis, mirror=True)
-    prob, var_x, var_p = _fields(index, alpha_axis, phi_axis, phase)
-    values = {"probability": prob, "var_x": var_x, "var_p": var_p}[quantity]
+    (values,) = _fields(index, alpha_axis, phi_axis, phase, (quantity,))
     return ScanGrid(alpha_axis, phi_axis, values, quantity)
 
 
@@ -239,13 +316,15 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
     ``coarse_resolution`` points per axis; the other half mirrors it
     bit-exactly.  Its four best cells (ties broken toward smaller |alpha|,
     then smaller phi) are the incumbents of the zoom, which shrinks 17x17
-    boxes around them 4x per level (``_nm_minimize``).  ``evaluations``
-    counts the points both stages evaluated.
+    boxes around them 4x per level (``_nm_minimize``).  Both stages compute
+    var_x alone, and the returned point its probability alone.
+    ``evaluations`` counts the points both stages evaluated.
     """
     index = _family_index(family)
     if index <= 4:
         # coherent family: variance is 0.5 identically
-        prob, _, _ = _fields(index, np.array([0.0]), np.array([0.0]))
+        (prob,) = _fields(index, np.array([0.0]), np.array([0.0]),
+                          quantities=("probability",))
         return OptResult(0.0, 0.0, 0.5, 0.0, float(prob[0, 0]), 0)
     if coarse_resolution < 2:
         raise ValueError("coarse_resolution must be at least 2")
@@ -255,7 +334,7 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
     phi_axis = _mirrored_axis(*PHI_BOX, n)
     half = (n + 1) // 2
     phase = _phase_factors(phi_axis, mirror=True)
-    _, var_x, _ = _fields(index, alpha_axis, phi_axis[:half], phase[:half])
+    (var_x,) = _fields(index, alpha_axis, phi_axis[:half], phase[:half], ("var_x",))
     filled = np.where(np.isnan(var_x), np.inf, var_x)
     # stable row-major order: alpha ties first, then phi
     order = np.argsort(filled, axis=None, kind="stable")[:_ZOOM_INCUMBENTS]
@@ -264,7 +343,8 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
             (PHI_BOX[1] - PHI_BOX[0]) / (n - 1))
     a_opt, p_opt, best, zoomed = _nm_minimize(
         index, alpha_axis[ia], phi_axis[ip], filled.reshape(-1)[order], cell)
-    prob, _, _ = _fields(index, np.array([a_opt]), np.array([p_opt]))
+    (prob,) = _fields(index, np.array([a_opt]), np.array([p_opt]),
+                      quantities=("probability",))
     return OptResult(
         alpha_opt=a_opt,
         phi_opt=p_opt,
@@ -296,7 +376,8 @@ def _nm_minimize(index: int, alpha, phi, values, cell):
     while max(h_alpha, h_phi) > _ZOOM_XATOL:
         box_a = np.clip(alpha[:, None] + h_alpha * steps, *ALPHA_BOX)
         box_p = np.clip(phi[:, None] + h_phi * steps, *PHI_BOX)
-        _, var_x, _ = _fields(index, box_a[:, :, None], box_p[:, None, :])
+        (var_x,) = _fields(index, box_a[:, :, None], box_p[:, None, :],
+                           quantities=("var_x",))
         evaluations += var_x.size
         filled = np.where(np.isnan(var_x), np.inf, var_x).reshape(len(k), -1)
         j = np.argmin(filled, axis=1)

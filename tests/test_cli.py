@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixport import VerificationFailed
+from sixport import VerificationFailed, scan
 from sixport.cli import main
 from sixport.verification import run_verification
 
@@ -109,6 +109,35 @@ def test_scan_csv_format(capsys):
     assert float(alpha) == 1.0
     assert float(phi) == 1.0
     assert 0.0 < float(value) < 2.0
+
+
+def test_scan_csv_matches_per_cell_rendering(capsys):
+    # psi2 at res 11 carries NaN sentinels on the alpha = 0 row and the
+    # phi = 0, 2 pi columns
+    code, out, _ = run_cli(capsys, "scan", "--family", "psi2", "--quantity", "varx",
+                           "--alpha-min", "0", "--alpha-max", "2", "--res", "11")
+    assert code == 0
+    grid = scan("psi2", "var_x", (0.0, 2.0), (0.0, 2 * math.pi), 11)
+    assert np.isnan(grid.values).any()
+    lines = ["alpha,phi,value"]
+    for i, a in enumerate(grid.alpha_axis):
+        for j, p in enumerate(grid.phi_axis):
+            lines.append(",".join(format(v, ".17g")
+                                  for v in (a, p, grid.values[i, j])))
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--alpha-max", "inf"),
+    ("--alpha-min", "-5"),
+    ("--phi-max", "inf"),
+])
+def test_scan_rejects_bad_ranges(capsys, flags):
+    code, out, err = run_cli(capsys, "scan", "--family", "psi16", "--quantity", "varx",
+                             *flags, "--res", "3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
 
 
 def test_optimize_psi16(capsys):

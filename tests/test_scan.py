@@ -15,7 +15,7 @@ from sixport import (
     symmetry_report,
     table1_coeffs,
 )
-from sixport.scan import _fields
+from sixport.scan import _fields, _mirrored_axis
 
 # located while freezing the landscape behavior: the psi16 x-variance dip at
 # |alpha| = 2 sits near phi = 1.47 at about 0.303
@@ -190,6 +190,37 @@ def test_evaluate_point_consistency():
 def test_scan_resolution_guard():
     with pytest.raises(ValueError):
         scan("psi1", "probability", (0.0, 1.0), (0.0, 1.0), 1)
+
+
+@pytest.mark.parametrize("alpha_range, phi_range", [
+    ((0.0, np.inf), (0.0, 1.0)),
+    ((-5.0, 1.0), (0.0, 1.0)),
+    ((0.0, 1.0), (0.0, np.inf)),
+    ((0.0, 1.0), (-np.inf, 1.0)),
+])
+def test_scan_rejects_non_finite_or_negative_ranges(alpha_range, phi_range):
+    with pytest.raises(ValueError):
+        scan("psi16", "var_x", alpha_range, phi_range, 3)
+
+
+@pytest.mark.parametrize("res", [11, 129])
+def test_selective_fields_match_full_call(res):
+    # alpha = 0 and phi = 0, 2 pi hold forbidden cells for many families; 129
+    # squared complex cells exceed 256 KiB, the size from which numpy
+    # evaluates some temporaries in place
+    alpha = np.linspace(0.0, 6.0, res)
+    phi = _mirrored_axis(0.0, 2 * np.pi, res)
+    forbidden = 0
+    for index in range(1, 17):
+        full = _fields(index, alpha, phi)
+        forbidden += int(np.isnan(full[1]).sum())
+        for quantity, want in zip(("probability", "var_x", "var_p"), full):
+            (got,) = _fields(index, alpha, phi, quantities=(quantity,))
+            np.testing.assert_array_equal(got, want)
+        var_p, prob = _fields(index, alpha, phi, quantities=("var_p", "probability"))
+        np.testing.assert_array_equal(var_p, full[2])
+        np.testing.assert_array_equal(prob, full[0])
+    assert forbidden > 0
 
 
 # optima the earlier Nelder-Mead refinement found for the seven distinct
