@@ -49,6 +49,7 @@ from .moments import (
     way1_moment_table,
 )
 from .oracle import (
+    ALPHA_MAX,
     FockVector,
     HeraldSpec,
     default_cutoff,

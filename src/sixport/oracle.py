@@ -32,6 +32,9 @@ from .interferometer import compose
 PROB_FLOOR = 1e-30       # below this a herald counts as analytically forbidden
 TAIL_FRACTION = 1e-10    # max tolerated |amplitude|^2 fraction at the cutoff
 PHASE_EPS = 1e-10        # relative threshold for "lowest nonzero amplitude"
+# Largest accepted |alpha|.  The closed forms go up to |alpha|^8 (psi16's
+# norm), which stays finite here; far beyond it they overflow to inf/NaN.
+ALPHA_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class HeraldSpec:
         for name in ("alpha_mag", "phi", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.alpha_mag > ALPHA_MAX:
+            raise ValueError(
+                f"alpha_mag must be <= ALPHA_MAX = {ALPHA_MAX:g}, got {self.alpha_mag!r}")
 
     @property
     def alpha(self) -> complex:
@@ -181,13 +187,15 @@ def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
 
     gauss = math.exp(-0.5 * abs(alpha) ** 2)
     out = gauss * vec.copy()
-    coef = gauss
+    # gauss alpha^j / sqrt(j!) as a running product: j! overflows a float
+    # past j = 170
+    amp = complex(gauss)
     for j in range(1, j_max + 1):
         vec = _apply_dressed_creation(vec, U[0, :], tables) / math.sqrt(j)
-        coef *= abs(alpha) / math.sqrt(j)
-        if coef != 0.0:
-            out += (gauss * alpha ** j / math.sqrt(math.factorial(j))) * vec
-        if coef < 1e-200:
+        amp *= alpha / math.sqrt(j)
+        if amp != 0.0:
+            out += amp * vec
+        if abs(amp) < 1e-200:
             break
     return out
 

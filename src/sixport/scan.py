@@ -17,6 +17,7 @@ import numpy as np
 from .errors import AxisNotSymmetric, QuantityMismatch
 from .interferometer import derived_coeffs
 from .moments import NORM_FLOOR, squeeze_db
+from .oracle import ALPHA_MAX
 from .states import PATTERNS, normalization, pattern_for_label, row_coefficients
 
 QUANTITIES = ("probability", "var_x", "var_p")
@@ -278,7 +279,7 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
     """Dense landscape of one quantity for one family.
 
     Only the requested quantity is computed.  Both ranges must be finite and
-    |alpha| non-negative (``ValueError`` otherwise).
+    |alpha| must lie in [0, ALPHA_MAX] (``ValueError`` otherwise).
     """
     if quantity not in QUANTITIES:
         raise QuantityMismatch(f"unknown quantity {quantity!r}")
@@ -286,6 +287,8 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
         raise ValueError("scan ranges must be finite")
     if alpha_range[0] < 0:
         raise ValueError("alpha range must start at |alpha| >= 0")
+    if max(alpha_range) > ALPHA_MAX:
+        raise ValueError(f"alpha range must end at |alpha| <= ALPHA_MAX = {ALPHA_MAX:g}")
     index = _family_index(family)
     if isinstance(resolution, int):
         res_a = res_p = resolution

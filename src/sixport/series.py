@@ -4,7 +4,9 @@ Evaluates derivative-at-zero expressions by exact polynomial coefficient
 extraction: a mixed partial derivative of an analytic generating expression,
 taken at the origin, equals the matching Taylor coefficient times factorials.
 All arithmetic here is plain truncated polynomial algebra, exact up to
-floating-point rounding.
+floating-point rounding.  The exponential, which every generating function
+here needs, is built as a product of one-monomial exponentials, each a short
+finite sum in the truncated ring.
 
 Coefficients are held in a dense complex ndarray with one axis per variable
 (axis length = truncation order + 1).  The orders in play are tiny, so the
@@ -15,7 +17,7 @@ the truncation are dropped, which is the defining property of the ring.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,9 +116,6 @@ class FormalSeries:
             out[dst] += b[tuple(exp)] * a[src]
         return FormalSeries(self.variables, self.orders, out)
 
-    def scaled(self, c: complex) -> "FormalSeries":
-        return FormalSeries(self.variables, self.orders, self.coeffs * c)
-
     def constant_term(self) -> complex:
         return complex(self.coeffs[(0,) * len(self.orders)])
 
@@ -138,23 +137,30 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
 
 
 def series_exp(p: FormalSeries) -> FormalSeries:
-    """exp(p) = sum_k p^k / k!, truncated.
+    """exp(p), truncated, as a product of monomial exponentials.
 
-    Requires p to have no constant term; then p^k only populates total degree
-    >= k and the sum terminates after K = sum of all truncation orders terms.
+    Requires p to have no constant term.  Monomials commute, so exp(p) is the
+    product over p's nonzero terms c x^e of sum_n c^n/n! x^(n e), and that
+    sum stops at the largest n with n e inside the truncation box.  Each
+    factor multiplies the running block in place: one copy of the block, then
+    one shifted, scaled slice-add per power.
     """
     if p.constant_term() != 0:
         raise NonzeroConstantTerm("series_exp requires zero constant term")
-    kmax = sum(p.orders)
-    one = FormalSeries.from_terms(p.variables, p.orders, [((0,) * len(p.orders), 1.0)])
-    result = one
-    term = one
-    for k in range(1, kmax + 1):
-        term = term * p
-        if not term.coeffs.any():
-            break
-        result = result + term.scaled(1.0 / math.factorial(k))
-    return result
+    shape = p.coeffs.shape
+    out = np.zeros(shape, dtype=complex)
+    out[(0,) * len(shape)] = 1.0
+    for exp in np.argwhere(p.coeffs).tolist():
+        c = complex(p.coeffs[tuple(exp)])
+        nmax = min(o // e for o, e in zip(p.orders, exp) if e)
+        base = out.copy()
+        scale = 1.0 + 0.0j
+        for n in range(1, nmax + 1):
+            scale *= c / n
+            src = tuple(slice(0, m - n * e) for m, e in zip(shape, exp))
+            dst = tuple(slice(n * e, None) for e in exp)
+            out[dst] += scale * base[src]
+    return FormalSeries(p.variables, p.orders, out)
 
 
 def extract_derivative(series: FormalSeries, index: Exponents) -> complex:

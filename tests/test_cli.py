@@ -286,3 +286,29 @@ def test_optimize_runs_without_scipy():
         "runpy.run_module('sixport.cli', run_name='__main__')")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["var_min"] < 0.5
+
+
+def test_herald_past_factorial_overflow_matches_closed_form(capsys):
+    # the drive expansion reaches j > 170, where j! no longer fits a float
+    code, out, _ = run_cli(capsys, "herald", "--n2", "1", "--n3", "1", "--m2", "1",
+                           "--m3", "1", "--alpha", "10", "--phi", "0",
+                           "--cutoff", "222")
+    assert code == 0
+    from sixport import HeraldSpec, compose, table1_coeffs
+    closed = table1_coeffs(HeraldSpec(1, 1, 1, 1, alpha_mag=10.0, phi=0.0), compose(0.0))
+    assert json.loads(out)["probability"] == pytest.approx(closed.probability, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("quadratures", "--n2", "1", "--n3", "1", "--m2", "1", "--m3", "1",
+     "--alpha", "1e200", "--phi", "2"),
+    ("state", "--n2", "1", "--n3", "1", "--m2", "1", "--m3", "1",
+     "--alpha", "1e200", "--phi", "2", "--method", "closed"),
+    ("scan", "--family", "psi16", "--quantity", "varx", "--alpha-max", "1e200",
+     "--res", "3"),
+])
+def test_alpha_beyond_bound_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"

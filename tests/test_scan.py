@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sixport import (
+    ALPHA_MAX,
     AxisNotSymmetric,
     HeraldSpec,
     QuantityMismatch,
@@ -201,6 +204,25 @@ def test_scan_resolution_guard():
 def test_scan_rejects_non_finite_or_negative_ranges(alpha_range, phi_range):
     with pytest.raises(ValueError):
         scan("psi16", "var_x", alpha_range, phi_range, 3)
+
+
+def test_alpha_bound():
+    with pytest.raises(ValueError):
+        scan("psi16", "var_x", (0.0, 1e200), (0.0, 1.0), 3)
+    with pytest.raises(ValueError):
+        HeraldSpec(1, 1, 1, 1, alpha_mag=2.0 * ALPHA_MAX, phi=2.0)
+    # at the bound every closed form stays finite: no overflow warnings, and
+    # NaN only as the forbidden-herald sentinel of variance grids
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for index in range(1, 17):
+            prob = scan(f"psi{index}", "probability", (0.0, ALPHA_MAX), (0.0, 6.0), 3)
+            var_x = scan(f"psi{index}", "var_x", (0.0, ALPHA_MAX), (0.0, 6.0), 3)
+            assert np.all(np.isfinite(prob.values))
+            assert not np.any(np.isinf(var_x.values))
+        spec = HeraldSpec(1, 1, 1, 1, alpha_mag=ALPHA_MAX, phi=2.0)
+        report = quadratures(table1_coeffs(spec, compose(2.0)))
+        assert np.isfinite([report.var_x, report.var_p]).all()
 
 
 @pytest.mark.parametrize("res", [11, 129])

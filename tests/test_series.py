@@ -182,3 +182,33 @@ def test_factorial_convention_matches_taylor():
     # coefficient of x^2 stored as 3 -> second derivative is 3 * 2!
     s = series_from_polynomial([((2,), 3.0)], ("x",), (2,))
     assert extract_derivative(s, (2,)) == pytest.approx(3.0 * math.factorial(2))
+
+
+def power_sum_exp(p):
+    """Independent reference: sum_k p^k / k! with series_mul, until p^k is 0."""
+    term = series_from_polynomial([((0,) * len(p.orders), 1.0)], p.variables, p.orders)
+    total = term.coeffs.copy()
+    for k in range(1, sum(p.orders) + 1):
+        term = series_mul(term, p)
+        total += term.coeffs / math.factorial(k)
+    return total
+
+
+def test_exp_matches_power_sum_reference():
+    rng = np.random.default_rng(21)
+    for orders in [(3,), (2, 3), (3, 1, 2), (3, 3, 3, 3), (1, 2, 0, 3)]:
+        variables = tuple(f"x{i}" for i in range(len(orders)))
+        for _ in range(8):
+            terms = []
+            for _ in range(rng.integers(1, 9)):
+                # degree 1..3, possibly beyond the truncation (clipped)
+                e = [0] * len(orders)
+                for _ in range(rng.integers(1, 4)):
+                    e[rng.integers(len(orders))] += 1
+                terms.append((tuple(e), complex(rng.normal(), rng.normal())))
+            terms.append(terms[0])     # a duplicate exponent, summed
+            p = FormalSeries.from_terms(variables, orders, terms, clip=True)
+            want = power_sum_exp(p)
+            got = series_exp(p).coeffs
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale

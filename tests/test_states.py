@@ -217,6 +217,23 @@ def test_general_beyond_table_matches_oracle():
     assert res.probability == pytest.approx(expected, abs=1e-13)
 
 
+# herald patterns outside the 16-row table, up to (3, 3, 3, 3)
+BEYOND_TABLE = [(2, 0, 0, 0), (2, 0, 1, 1), (1, 2, 2, 0), (2, 2, 1, 1),
+                (2, 2, 2, 2), (3, 1, 2, 2), (0, 3, 3, 3), (3, 3, 3, 3)]
+
+
+@pytest.mark.parametrize("pattern", BEYOND_TABLE)
+def test_general_beyond_table_probability_matches_oracle(pattern):
+    rng = np.random.default_rng(list(pattern))
+    for _ in range(10):
+        alpha = float(rng.uniform(0.2, 3.0))
+        phi = float(rng.uniform(0.1, 2 * np.pi - 0.1))
+        spec = HeraldSpec(*pattern, alpha_mag=alpha, phi=phi)
+        series = general_heralded(spec, compose(phi)).probability
+        _, oracle = herald_state(spec)
+        assert series == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 def test_general_order_guard():
     spec = HeraldSpec(5, 4, 2, 2, alpha_mag=1.0, phi=1.0)
     with pytest.raises(SeriesOrderTooLarge):
