@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
     VariableMismatch,
     VerificationFailed,
+    WorkTooLarge,
 )
 from .interferometer import (
     DerivedCoeffs,
@@ -50,9 +51,11 @@ from .moments import (
 )
 from .oracle import (
     ALPHA_MAX,
+    BOX_CELLS_MAX,
     FockVector,
     HeraldSpec,
     default_cutoff,
+    default_herald_max,
     expectation,
     fix_global_phase,
     fock_amplitude,

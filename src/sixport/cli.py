@@ -31,6 +31,7 @@ from .moments import expectation_quadratures, moment, quadratures, squeeze_db
 from .oracle import (
     HeraldSpec,
     default_cutoff,
+    default_herald_max,
     expectation,
     herald_distribution,
     herald_state,
@@ -47,7 +48,6 @@ _DEFAULTS = {
     "method": "closed",
     "res": 200,
     "coarse_res": 400,
-    "herald_max": 12,
     "alpha_min": 0.0,
     "alpha_max": 10.0,
     "phi_min": 0.0,
@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="probabilities of all herald outcomes")
     _herald_flags(p, with_herald=False)
-    p.add_argument("--herald-max", type=int)
+    p.add_argument("--herald-max", type=int,
+                   help="largest herald count per port (default 15 + |alpha|^2)")
     return parser
 
 
@@ -340,11 +341,14 @@ def _cmd_verify(args) -> str:
 
 def _cmd_dist(args) -> str:
     spec = _spec_from_args(args, with_herald=False)
-    if args.herald_max < 0:
+    herald_max = args.herald_max
+    if herald_max is None:
+        herald_max = default_herald_max(spec.alpha_mag)
+    if herald_max < 0:
         raise ValidationError("--herald-max must be non-negative")
     cutoff = _effective_cutoff(args, spec)
     dist = herald_distribution(spec.n2, spec.n3, spec.alpha_mag, spec.phi,
-                               args.herald_max, cutoff)
+                               herald_max, cutoff)
     entries = [{"m2": m2, "m3": m3, "probability": p}
                for (m2, m3), p in dist.items()]
     return _to_json({"entries": entries, "total": sum(dist.values())})

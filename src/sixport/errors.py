@@ -60,6 +60,10 @@ class AxisNotSymmetric(ValidationError):
     """Phase axis does not mirror onto itself about its midpoint."""
 
 
+class WorkTooLarge(ValidationError):
+    """Requested sizes exceed a documented work budget."""
+
+
 # -- computational branch ----------------------------------------------------
 
 class ClosedFormMismatch(ComputationError):

@@ -1,16 +1,19 @@
 """Operator moments <a^dagger^k a^l> for the generated states.
 
-Two independent routes are provided.  The canonical one ("way 2") expands the
-state's density operator over photon-added coherent projectors
-a^dagger^{h_l} |beta><beta| a^{h_r} and evaluates each projector moment by a
-four-variable generating-series extraction.  The second ("way 1") extracts
-the moment directly from the full ten-variable generating expression of the
-heralded density operator, without ever forming state coefficients.  Their
-agreement is one of the package's main cross-checks.
+The production route expands the state's density operator over
+photon-added coherent projectors a^dagger^{h_l} |beta><beta| a^{h_r} and
+evaluates each projector moment by a closed combinatorial sum,
+``_antinormal_terms``; the grid kernel in ``scan`` sums the same table over
+whole (|alpha|, phi) grids.  Two generating-series routes stay as
+independent cross-checks: ``moment_component`` extracts one projector moment
+from a four-variable series, and "way 1" extracts the moment directly from
+the full ten-variable generating expression of the heralded density
+operator, without ever forming state coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +25,21 @@ from .series import FormalSeries, extract_derivative, series_exp
 
 NORM_FLOOR = 1e-28   # below this the herald is analytically forbidden
 MAX_POWER = 8        # scope guard on moment powers
+
+
+@functools.lru_cache(maxsize=None)
+def _antinormal_terms(hr: int, k: int, l: int, hl: int):
+    """(cr, p, q) with <beta| a^hr a^dagger^k a^l a^dagger^hl |beta> the sum
+    of cr conj(beta)**p beta**q over the terms, in summation order."""
+    terms = []
+    for i in range(min(hr, k) + 1):
+        ci = math.factorial(i) * math.comb(hr, i) * math.comb(k, i)
+        for j in range(min(l, hl) + 1):
+            cj = ci * math.factorial(j) * math.comb(l, j) * math.comb(hl, j)
+            for r in range(min(hr - i, hl - j) + 1):
+                cr = cj * math.factorial(r) * math.comb(hr - i, r) * math.comb(hl - j, r)
+                terms.append((float(cr), (k - i) + (hl - j - r), (hr - i - r) + (l - j)))
+    return tuple(terms)
 
 
 def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> complex:
@@ -49,16 +67,19 @@ def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> compl
 
 
 def moment(state, k: int, l: int) -> complex:
-    """<a^dagger^k a^l> on a closed-form state (way 2, canonical).
+    """<a^dagger^k a^l> on a closed-form state.
 
     ``state`` carries coefficients c0, c1, c2, the coherent seed, and the
-    norm; the moment is the weight-sum of projector moments.
+    norm; the moment is the weight-sum of projector moments, each a sum of
+    plain Python scalars over ``_antinormal_terms``.
     """
     if not (0 <= k <= MAX_POWER and 0 <= l <= MAX_POWER):
         raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
     if state.norm < NORM_FLOOR:
         raise HeraldImpossible(f"state {state.label} has zero norm")
     cs = (state.c0, state.c1, state.c2)
+    beta = complex(state.seed)
+    beta_c = beta.conjugate()
     total = 0.0 + 0.0j
     for h_l, c_l in enumerate(cs):
         if c_l == 0:
@@ -67,7 +88,10 @@ def moment(state, k: int, l: int) -> complex:
             if c_r == 0:
                 continue
             weight = c_l * c_r.conjugate() / state.norm
-            total += weight * moment_component(h_l, h_r, k, l, state.seed)
+            anti = 0.0 + 0.0j
+            for cr, p, q in _antinormal_terms(h_r, k, l, h_l):
+                anti += cr * beta_c ** p * beta ** q
+            total += weight * anti
     return complex(total)
 
 
@@ -156,13 +180,23 @@ class QuadratureReport:
     squeeze_db_x: float
 
 
+def quadrature_variance(name: str, first, n_bar, a_sq):
+    """``var_x`` or ``var_p`` (as ``name`` says) from <a>, <a^dagger a>, <a^2>.
+
+    The one quadrature formula of the package; works elementwise on arrays.
+    """
+    if name == "var_x":
+        return 0.5 + n_bar + a_sq.real - 2.0 * first.real ** 2
+    return 0.5 + n_bar - a_sq.real - 2.0 * first.imag ** 2
+
+
 def quadratures(state) -> QuadratureReport:
     """Quadrature variances from the moments with k + l <= 2."""
     first = moment(state, 0, 1)
     n_bar = moment(state, 1, 1).real
     a_sq = moment(state, 0, 2)
-    var_x = 0.5 + n_bar + a_sq.real - 2.0 * first.real ** 2
-    var_p = 0.5 + n_bar - a_sq.real - 2.0 * first.imag ** 2
+    var_x = quadrature_variance("var_x", first, n_bar, a_sq)
+    var_p = quadrature_variance("var_p", first, n_bar, a_sq)
     return QuadratureReport(var_x, var_p, squeeze_db(var_x))
 
 
@@ -178,6 +212,5 @@ def expectation_quadratures(state: FockVector) -> tuple[float, float]:
     first = expectation(state, 0, 1)
     n_bar = expectation(state, 1, 1).real
     a_sq = expectation(state, 0, 2)
-    var_x = 0.5 + n_bar + a_sq.real - 2.0 * first.real ** 2
-    var_p = 0.5 + n_bar - a_sq.real - 2.0 * first.imag ** 2
-    return var_x, var_p
+    return (quadrature_variance("var_x", first, n_bar, a_sq),
+            quadrature_variance("var_p", first, n_bar, a_sq))

@@ -26,6 +26,7 @@ from .errors import (
     HeraldImpossible,
     PhotonNumberMismatch,
     ResidualMassTooLarge,
+    WorkTooLarge,
 )
 from .interferometer import compose
 
@@ -35,6 +36,12 @@ PHASE_EPS = 1e-10        # relative threshold for "lowest nonzero amplitude"
 # Largest accepted |alpha|.  The closed forms go up to |alpha|^8 (psi16's
 # norm), which stays finite here; far beyond it they overflow to inf/NaN.
 ALPHA_MAX = 1e6
+# Largest oracle box in complex cells: 64 MiB per buffer, of which the
+# raising loop holds about five.  The largest box the package asks for
+# itself, ~(121, 116, 116) = 1.6M cells, is the default herald box at
+# |alpha| = 10.  A larger cutoff or herald box is refused with WorkTooLarge
+# before anything is allocated.
+BOX_CELLS_MAX = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -145,24 +152,55 @@ def default_cutoff(spec: HeraldSpec) -> int:
     return int(min(max(c, 20), 120))
 
 
+def default_herald_max(alpha_mag: float) -> int:
+    """Default herald box edge of ``dist`` and ``verify``: 15 + int(|alpha|^2)."""
+    return 15 + int(alpha_mag ** 2)
+
+
+def _checked_box(*dims: int) -> tuple[int, ...]:
+    """``dims``, unless the box holds more than BOX_CELLS_MAX cells."""
+    cells = math.prod(dims)
+    if cells > BOX_CELLS_MAX:
+        raise WorkTooLarge(
+            f"oracle box {dims} has {cells} cells, over BOX_CELLS_MAX = {BOX_CELLS_MAX}")
+    return dims
+
+
 def _sqrt_table(n: int) -> np.ndarray:
     return np.sqrt(np.arange(n, dtype=float))
 
 
-def _apply_dressed_creation(vec: np.ndarray, coeffs, tables) -> np.ndarray:
-    """Apply  sum_k coeffs[k] * a_k^dagger  on a truncated three-mode vector.
+def _creation_tables(coeffs, tables):
+    """coeffs[k] * sqrt-table of axis k, or None where coeffs[k] is zero."""
+    return tuple(c * t if c != 0 else None for c, t in zip(coeffs, tables))
 
-    Amplitude raised past an axis end is discarded; by the raising-only
-    argument this never affects amplitudes retained inside the box.
+
+def _apply_dressed_creation(vec: np.ndarray, out: np.ndarray, ctabs,
+                            reach: int) -> tuple[slice, slice, slice]:
+    """Write  sum_k c_k a_k^dagger vec  into ``out``.
+
+    ``ctabs`` holds c_k times the sqrt table of axis k (``_creation_tables``).
+    ``vec`` is zero wherever an occupation exceeds ``reach``, its total
+    photon number, so the result is zero past reach + 1: only that corner of
+    ``out`` is written, and its slices are returned.  Skipped terms are
+    products with exact zeros, so every retained amplitude is bit-identical
+    to a whole-box update.  Amplitude raised past an axis end is discarded;
+    by the raising-only argument this never affects amplitudes retained
+    inside the box.
     """
-    out = np.zeros_like(vec)
-    if coeffs[0] != 0 and vec.shape[0] > 1:
-        out[1:, :, :] += coeffs[0] * tables[0][1:, None, None] * vec[:-1, :, :]
-    if coeffs[1] != 0 and vec.shape[1] > 1:
-        out[:, 1:, :] += coeffs[1] * tables[1][None, 1:, None] * vec[:, :-1, :]
-    if coeffs[2] != 0 and vec.shape[2] > 1:
-        out[:, :, 1:] += coeffs[2] * tables[2][None, None, 1:] * vec[:, :, :-1]
-    return out
+    d0, d1, d2 = vec.shape
+    s0, s1, s2 = min(d0, reach + 1), min(d1, reach + 1), min(d2, reach + 1)
+    t0, t1, t2 = min(d0, reach + 2), min(d1, reach + 2), min(d2, reach + 2)
+    corner = (slice(0, t0), slice(0, t1), slice(0, t2))
+    out[corner] = 0.0
+    c0, c1, c2 = ctabs
+    if c0 is not None and t0 > 1:
+        out[1:t0, :s1, :s2] += c0[1:t0, None, None] * vec[:t0 - 1, :s1, :s2]
+    if c1 is not None and t1 > 1:
+        out[:s0, 1:t1, :s2] += c1[None, 1:t1, None] * vec[:s0, :t1 - 1, :s2]
+    if c2 is not None and t2 > 1:
+        out[:s0, :s1, 1:t2] += c2[None, None, 1:t2] * vec[:s0, :s1, :t2 - 1]
+    return corner
 
 
 def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
@@ -171,30 +209,37 @@ def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
 
     The coherent drive is expanded as sum_j alpha^j/sqrt(j!) |j>; term j is
     reached by j applications of the dressed port-1 creation operator, so the
-    whole expansion is a single accumulation loop.
+    whole expansion is a single accumulation loop.  Two buffers alternate as
+    the raised vector, and each step works only on the corner its photon
+    number can reach.
     """
     tables = tuple(_sqrt_table(d) for d in dims)
     vec = np.zeros(dims, dtype=complex)
+    spare = np.zeros(dims, dtype=complex)
     vec[0, 0, 0] = 1.0
-    for _ in range(n2):
-        vec = _apply_dressed_creation(vec, U[1, :], tables)
-    if n2:
-        vec /= math.sqrt(math.factorial(n2))
-    for _ in range(n3):
-        vec = _apply_dressed_creation(vec, U[2, :], tables)
-    if n3:
-        vec /= math.sqrt(math.factorial(n3))
+    reach = 0
+    for row, n in ((1, n2), (2, n3)):
+        ctabs = _creation_tables(U[row, :], tables)
+        for _ in range(n):
+            _apply_dressed_creation(vec, spare, ctabs, reach)
+            vec, spare = spare, vec
+            reach += 1
+        if n:
+            vec /= math.sqrt(math.factorial(n))
 
     gauss = math.exp(-0.5 * abs(alpha) ** 2)
-    out = gauss * vec.copy()
+    out = gauss * vec
+    ctabs = _creation_tables(U[0, :], tables)
     # gauss alpha^j / sqrt(j!) as a running product: j! overflows a float
     # past j = 170
     amp = complex(gauss)
     for j in range(1, j_max + 1):
-        vec = _apply_dressed_creation(vec, U[0, :], tables) / math.sqrt(j)
+        corner = _apply_dressed_creation(vec, spare, ctabs, reach)
+        np.divide(spare[corner], math.sqrt(j), out=vec[corner])
+        reach += 1
         amp *= alpha / math.sqrt(j)
         if amp != 0.0:
-            out += amp * vec
+            out[corner] += amp * vec[corner]
         if abs(amp) < 1e-200:
             break
     return out
@@ -211,9 +256,9 @@ def herald_state(spec: HeraldSpec, cutoff: int | None = None) -> tuple[FockVecto
         cutoff = default_cutoff(spec)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
+    dims = _checked_box(cutoff + 1, spec.m2 + 1, spec.m3 + 1)
     U = compose(spec.phi)
     j_max = cutoff + spec.m2 + spec.m3 - spec.n2 - spec.n3
-    dims = (cutoff + 1, spec.m2 + 1, spec.m3 + 1)
     if j_max < 0:
         raise HeraldImpossible(
             f"herald ({spec.m2},{spec.m3}) unreachable below cutoff {cutoff}")
@@ -276,8 +321,8 @@ def herald_distribution(n2: int, n3: int, alpha_mag: float, phi: float,
     spec = HeraldSpec(n2, n3, 0, 0, alpha_mag, phi)
     if cutoff is None:
         cutoff = default_cutoff(spec)
+    dims = _checked_box(cutoff + 1, herald_max + 1, herald_max + 1)
     U = compose(phi)
-    dims = (cutoff + 1, herald_max + 1, herald_max + 1)
     # Poisson bulk of the drive, capped at the largest j that can still land
     # inside the box.
     j_tail = math.ceil(alpha_mag ** 2 + 12.0 * alpha_mag + 30.0)

@@ -8,7 +8,6 @@ variance grids; every consumer here treats NaN as "no state".
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import AxisNotSymmetric, QuantityMismatch
 from .interferometer import derived_coeffs
-from .moments import NORM_FLOOR, squeeze_db
+from .moments import NORM_FLOOR, _antinormal_terms, quadrature_variance, squeeze_db
 from .oracle import ALPHA_MAX
 from .states import PATTERNS, normalization, pattern_for_label, row_coefficients
 
@@ -86,25 +85,6 @@ def _family_index(family) -> int:
     if index not in range(1, 17):
         raise ValueError(f"family index {index} outside 1..16")
     return index
-
-
-def _binom(n: int, k: int) -> float:
-    return float(math.comb(n, k))
-
-
-@functools.lru_cache(maxsize=None)
-def _antinormal_terms(hr: int, k: int, l: int, hl: int):
-    """(cr, p, q) with <beta| a^hr a^dagger^k a^l a^dagger^hl |beta> the sum
-    of cr conj(beta)**p beta**q over the terms, in summation order."""
-    terms = []
-    for i in range(min(hr, k) + 1):
-        ci = math.factorial(i) * _binom(hr, i) * _binom(k, i)
-        for j in range(min(l, hl) + 1):
-            cj = ci * math.factorial(j) * _binom(l, j) * _binom(hl, j)
-            for r in range(min(hr - i, hl - j) + 1):
-                cr = cj * math.factorial(r) * _binom(hr - i, r) * _binom(hl - j, r)
-                terms.append((cr, (k - i) + (hl - j - r), (hr - i - r) + (l - j)))
-    return tuple(terms)
 
 
 def _antinormal(hr: int, k: int, l: int, hl: int, b_pow, bc_pow, out, scratch):
@@ -258,10 +238,8 @@ def _variances(cs, seed, norm, names) -> dict:
         n_bar = np.real(sums[1, 1].reshape(shape)) / safe_norm
         a_sq = sums[0, 2].reshape(shape)
         a_sq /= safe_norm
-        if "var_x" in names:
-            out["var_x"] = 0.5 + n_bar + np.real(a_sq) - 2.0 * np.real(first) ** 2
-        if "var_p" in names:
-            out["var_p"] = 0.5 + n_bar - np.real(a_sq) - 2.0 * np.imag(first) ** 2
+        for name in names:
+            out[name] = quadrature_variance(name, first, n_bar, a_sq)
     for v in out.values():
         v[forbidden] = np.nan
     return out

@@ -16,6 +16,7 @@ the truncation are dropped, which is the defining property of the ring.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -26,6 +27,12 @@ from .errors import NonzeroConstantTerm, OrderOverflow, VariableMismatch
 # Exponent vectors may be given as tuples (positional) or mappings
 # {variable name: power}; omitted variables mean power zero.
 Exponents = Sequence[int] | Mapping[str, int]
+
+
+@functools.lru_cache(maxsize=None)
+def _axes(variables: tuple[str, ...]) -> dict[str, int]:
+    """Axis of each variable name, built once per variables tuple."""
+    return {v: axis for axis, v in enumerate(variables)}
 
 
 class FormalSeries:
@@ -77,14 +84,19 @@ class FormalSeries:
 
     def _index(self, exponents: Exponents) -> tuple[int, ...]:
         if isinstance(exponents, Mapping):
-            unknown = set(exponents) - set(self.variables)
-            if unknown:
-                raise VariableMismatch(f"unknown variables: {sorted(unknown)}")
-            idx = tuple(int(exponents.get(v, 0)) for v in self.variables)
+            axes = _axes(self.variables)
+            raw = [0] * len(self.variables)
+            try:
+                for v, e in exponents.items():
+                    raw[axes[v]] = e
+            except KeyError:
+                unknown = set(exponents) - set(self.variables)
+                raise VariableMismatch(f"unknown variables: {sorted(unknown)}") from None
         else:
             if len(exponents) != len(self.variables):
                 raise VariableMismatch("exponent vector length mismatch")
-            idx = tuple(int(e) for e in exponents)
+            raw = exponents
+        idx = tuple(map(int, raw))
         for e, o, v in zip(idx, self.orders, self.variables):
             if e < 0 or e > o:
                 raise OrderOverflow(f"exponent {e} of {v} outside [0, {o}]")

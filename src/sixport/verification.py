@@ -17,7 +17,13 @@ import numpy as np
 from .errors import VerificationFailed
 from .interferometer import compose
 from .moments import moment, way1_moment_table
-from .oracle import HeraldSpec, default_cutoff, herald_distribution, herald_state
+from .oracle import (
+    HeraldSpec,
+    default_cutoff,
+    default_herald_max,
+    herald_distribution,
+    herald_state,
+)
 from .states import PATTERNS, general_heralded, state_fock_vector, table1_coeffs
 
 DEFAULT_TOLERANCES = {
@@ -82,7 +88,7 @@ def run_verification(samples: int, seed: int,
                     dev["moment_way1_vs_way2"] = max(
                         dev["moment_way1_vs_way2"], abs(way1[k, l] - way2))
 
-        herald_max = 15 + int(alpha_mag ** 2)
+        herald_max = default_herald_max(alpha_mag)
         for n2 in (0, 1):
             for n3 in (0, 1):
                 dist = herald_distribution(n2, n3, alpha_mag, phi, herald_max)
