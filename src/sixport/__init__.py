@@ -87,7 +87,6 @@ from .states import (
     PATTERNS,
     density_components,
     general_heralded,
-    heralded_state,
     normalization,
     pattern_for_label,
     state_fock_vector,

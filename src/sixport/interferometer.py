@@ -44,6 +44,21 @@ def phase_matrix(phi: float) -> np.ndarray:
     return np.diag([np.exp(-1j * phi), 1.0, 1.0]).astype(complex)
 
 
+def closed_form_matrix(e) -> np.ndarray:
+    """Transfer matrix from e = e^{-i phi}: (e + 2)/3 on the diagonal, (e - 1)/3 off it.
+
+    ``e`` may be an array; the result then has shape (3, 3) + e.shape.
+    """
+    e = np.asarray(e, dtype=complex)
+    diag = (e + 2.0) / 3.0
+    off = (e - 1.0) / 3.0
+    U = np.empty((3, 3) + e.shape, dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            U[i, j] = diag if i == j else off
+    return U
+
+
 def compose(phi: float, check_tol: float = 1e-12) -> np.ndarray:
     """Full interferometer matrix for shift phase ``phi``.
 
@@ -55,11 +70,7 @@ def compose(phi: float, check_tol: float = 1e-12) -> np.ndarray:
     """
     if not math.isfinite(phi):
         raise ValidationError(f"phi must be finite, got {phi!r}")
-    e = np.exp(-1j * float(phi))
-    diag = (e + 2.0) / 3.0
-    off = (e - 1.0) / 3.0
-    closed = np.full((3, 3), off, dtype=complex)
-    np.fill_diagonal(closed, diag)
+    closed = closed_form_matrix(np.exp(-1j * float(phi)))
 
     product = tritter2_matrix() @ phase_matrix(phi) @ tritter1_matrix()
     dev = np.max(np.abs(product - closed))

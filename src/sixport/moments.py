@@ -1,19 +1,24 @@
 """Operator moments <a^dagger^k a^l> for the generated states.
 
-The production route expands the state's density operator over
-photon-added coherent projectors a^dagger^{h_l} |beta><beta| a^{h_r} and
-evaluates each projector moment by a closed combinatorial sum,
-``_antinormal_terms``; the grid kernel in ``scan`` sums the same table over
-whole (|alpha|, phi) grids.  Two generating-series routes stay as
-independent cross-checks: ``moment_component`` extracts one projector moment
-from a four-variable series, and "way 1" extracts the moment directly from
-the full ten-variable generating expression of the heralded density
-operator, without ever forming state coefficients.
+A closed-form state (c0 + c1 a^dagger + c2 a^dagger^2)|beta> equals
+D(beta)|v>, with |v> on |0>, |1>, |2> only, because
+D(beta)^dagger a^dagger D(beta) = a^dagger + conj(beta).
+``displaced_frame`` builds v and the norm |v|^2, and ``frame_moments`` the
+moments <a>, <a^dagger a>, <a^2> in that frame.  Quadrature variances do not
+change under a displacement, so they come from those three with no
+|beta|^2-sized terms to cancel; ``moment`` undoes the displacement by a
+binomial sum.  The grid kernel in ``scan`` runs the same two helpers over
+whole (|alpha|, phi) grids.
+
+Two generating-series routes stay as independent cross-checks:
+``moment_component`` extracts one projector moment from a four-variable
+series, and "way 1" extracts the moment straight from the ten-variable
+generating expression of the heralded density operator, without forming
+state coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,20 +31,54 @@ from .series import FormalSeries, extract_derivative, series_exp
 NORM_FLOOR = 1e-28   # below this the herald is analytically forbidden
 MAX_POWER = 8        # scope guard on moment powers
 
+_SQRT2 = math.sqrt(2.0)
 
-@functools.lru_cache(maxsize=None)
-def _antinormal_terms(hr: int, k: int, l: int, hl: int):
-    """(cr, p, q) with <beta| a^hr a^dagger^k a^l a^dagger^hl |beta> the sum
-    of cr conj(beta)**p beta**q over the terms, in summation order."""
-    terms = []
-    for i in range(min(hr, k) + 1):
-        ci = math.factorial(i) * math.comb(hr, i) * math.comb(k, i)
-        for j in range(min(l, hl) + 1):
-            cj = ci * math.factorial(j) * math.comb(l, j) * math.comb(hl, j)
-            for r in range(min(hr - i, hl - j) + 1):
-                cr = cj * math.factorial(r) * math.comb(hr - i, r) * math.comb(hl - j, r)
-                terms.append((float(cr), (k - i) + (hl - j - r), (hr - i - r) + (l - j)))
-    return tuple(terms)
+
+def _abs2(z):
+    return z.real ** 2 + z.imag ** 2
+
+
+# Every complex product below is written np.multiply(left, right).  numpy's
+# complex multiply fuses multiply-adds on CPUs that have them, so a * b and
+# b * a can differ in the last bit, and the * operator evaluates a large
+# ``named * temporary`` in the temporary's buffer with the operands swapped.
+# The written order keeps every grid cell bit-equal to the same point
+# evaluated alone.
+
+def displaced_frame(c0, c1, c2, beta):
+    """(v, norm) with (c0 + c1 a^dagger + c2 a^dagger^2)|beta> = D(beta)|v>.
+
+    ``v`` = (v0, v1, v2) holds the amplitudes on |0>, |1>, |2>:
+    v0 = c0 + c1 conj(beta) + c2 conj(beta)^2, v1 = c1 + 2 c2 conj(beta) and
+    v2 = sqrt(2) c2.  ``norm`` = |v|^2 is the state's norm squared, |beta>
+    being normalized.  Works elementwise on arrays.
+    """
+    beta_c = np.conjugate(beta)
+    t = np.multiply(c2, beta_c)
+    v = (c0 + np.multiply(c1 + t, beta_c), c1 + 2.0 * t, _SQRT2 * c2)
+    return v, _abs2(v[0]) + _abs2(v[1]) + _abs2(v[2])
+
+
+def frame_moments(v, norm):
+    """(<a>, <a^dagger a>, <a^2>) of the three-level vector ``v``, over ``norm``.
+
+    These are the moments in the displaced frame; the quadrature variances
+    built from them are those of D(beta)|v> for every beta.
+    """
+    v0, v1, v2 = v
+    first = (np.multiply(np.conjugate(v0), v1)
+             + _SQRT2 * np.multiply(np.conjugate(v1), v2)) / norm
+    n_bar = (_abs2(v1) + 2.0 * _abs2(v2)) / norm
+    a_sq = _SQRT2 * np.multiply(np.conjugate(v0), v2) / norm
+    return first, n_bar, a_sq
+
+
+def _state_frame(state):
+    """The displaced-frame vector of a closed-form state, as Python complexes."""
+    if state.norm < NORM_FLOOR:
+        raise HeraldImpossible(f"state {state.label} has zero norm")
+    v, _ = displaced_frame(state.c0, state.c1, state.c2, state.seed)
+    return [complex(x) for x in v]
 
 
 def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> complex:
@@ -69,30 +108,56 @@ def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> compl
 def moment(state, k: int, l: int) -> complex:
     """<a^dagger^k a^l> on a closed-form state.
 
-    ``state`` carries coefficients c0, c1, c2, the coherent seed, and the
-    norm; the moment is the weight-sum of projector moments, each a sum of
-    plain Python scalars over ``_antinormal_terms``.
+    ``state`` carries coefficients c0, c1, c2, the coherent seed beta, and
+    the norm.  With a -> a + beta in the displaced frame the moment is the
+    sum of C(k, i) C(l, j) conj(beta)^(k-i) beta^(l-j) <a^dagger^i a^j>_v,
+    and each frame moment is a sum over at most three levels.
     """
     if not (0 <= k <= MAX_POWER and 0 <= l <= MAX_POWER):
         raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
-    if state.norm < NORM_FLOOR:
-        raise HeraldImpossible(f"state {state.label} has zero norm")
-    cs = (state.c0, state.c1, state.c2)
+    v = _state_frame(state)
     beta = complex(state.seed)
     beta_c = beta.conjugate()
     total = 0.0 + 0.0j
-    for h_l, c_l in enumerate(cs):
-        if c_l == 0:
-            continue
-        for h_r, c_r in enumerate(cs):
-            if c_r == 0:
-                continue
-            weight = c_l * c_r.conjugate() / state.norm
-            anti = 0.0 + 0.0j
-            for cr, p, q in _antinormal_terms(h_r, k, l, h_l):
-                anti += cr * beta_c ** p * beta ** q
-            total += weight * anti
-    return complex(total)
+    for i in range(min(k, 2) + 1):
+        for j in range(min(l, 2) + 1):
+            inner = sum(v[s + i].conjugate() * v[s + j]
+                        * math.sqrt(math.perm(s + i, i) * math.perm(s + j, j))
+                        for s in range(3 - max(i, j)))
+            total += (math.comb(k, i) * math.comb(l, j)
+                      * beta_c ** (k - i) * beta ** (l - j) * inner)
+    return complex(total / state.norm)
+
+
+def _herald_terms(a, u, names=("s2", "s3", "t2", "t3")) -> list:
+    """Terms of the herald polynomial: t_k (a u[0, k] + s2 u[1, k] + s3 u[2, k]), k = 1, 2.
+
+    ``names`` gives (s2, s3, t2, t3).  The bra's terms are those of conj(a),
+    conj(u) under the names (f2, f3, g2, g3).
+    """
+    s2, s3, t2, t3 = names
+    return [({t2: 1}, a * u[0, 1]), ({t2: 1, s2: 1}, u[1, 1]), ({t2: 1, s3: 1}, u[2, 1]),
+            ({t3: 1}, a * u[0, 2]), ({t3: 1, s2: 1}, u[1, 2]), ({t3: 1, s3: 1}, u[2, 2])]
+
+
+def _trace_terms(a, u) -> list:
+    """Exponent terms of the trace of the heralded density operator.
+
+    The ket's herald terms, the bra's, and the signal-mode overlap of the
+    two generating amplitudes, which couples s and f.  The constant
+    |a u[0, 0]|^2 is left out.
+    """
+    ac = a.conjugate()
+    uc = u.conjugate()
+    overlap = [
+        ({"s2": 1}, ac * uc[0, 0] * u[1, 0]), ({"s3": 1}, ac * uc[0, 0] * u[2, 0]),
+        ({"f2": 1}, a * u[0, 0] * uc[1, 0]), ({"f3": 1}, a * u[0, 0] * uc[2, 0]),
+        ({"s2": 1, "f2": 1}, u[1, 0] * uc[1, 0]),
+        ({"s2": 1, "f3": 1}, u[1, 0] * uc[2, 0]),
+        ({"s3": 1, "f2": 1}, u[2, 0] * uc[1, 0]),
+        ({"s3": 1, "f3": 1}, u[2, 0] * uc[2, 0]),
+    ]
+    return _herald_terms(a, u) + _herald_terms(ac, uc, ("f2", "f3", "g2", "g3")) + overlap
 
 
 _WAY1_VARS = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3", "mu", "nu")
@@ -101,6 +166,7 @@ _WAY1_VARS = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3", "mu", "nu")
 def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> FormalSeries:
     """Generating series whose mixed derivatives give way-1 moments.
 
+    The trace terms gain the generating variables mu (a^dagger) and nu (a).
     The constant |alpha u11|^2 in the exponent is dropped; it cancels in the
     moment ratio below.
     """
@@ -110,28 +176,11 @@ def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> FormalSerie
     uc = u.conjugate()
     orders = (spec.n2, spec.n3, spec.m2, spec.m3,
               spec.n2, spec.n3, spec.m2, spec.m3, k, l)
-    terms = [
-        # herald factor of the ket
-        ({"t2": 1}, a * u[0, 1]), ({"t2": 1, "s2": 1}, u[1, 1]),
-        ({"t2": 1, "s3": 1}, u[2, 1]),
-        ({"t3": 1}, a * u[0, 2]), ({"t3": 1, "s2": 1}, u[1, 2]),
-        ({"t3": 1, "s3": 1}, u[2, 2]),
-        # herald factor of the bra
-        ({"g2": 1}, ac * uc[0, 1]), ({"g2": 1, "f2": 1}, uc[1, 1]),
-        ({"g2": 1, "f3": 1}, uc[2, 1]),
-        ({"g3": 1}, ac * uc[0, 2]), ({"g3": 1, "f2": 1}, uc[1, 2]),
-        ({"g3": 1, "f3": 1}, uc[2, 2]),
-        # signal-mode overlap of bra and ket generating amplitudes
+    terms = _trace_terms(a, u) + [
         ({"mu": 1}, ac * uc[0, 0]), ({"mu": 1, "f2": 1}, uc[1, 0]),
         ({"mu": 1, "f3": 1}, uc[2, 0]),
         ({"nu": 1}, a * u[0, 0]), ({"nu": 1, "s2": 1}, u[1, 0]),
         ({"nu": 1, "s3": 1}, u[2, 0]),
-        ({"f2": 1}, a * u[0, 0] * uc[1, 0]), ({"f3": 1}, a * u[0, 0] * uc[2, 0]),
-        ({"s2": 1}, ac * uc[0, 0] * u[1, 0]), ({"s3": 1}, ac * uc[0, 0] * u[2, 0]),
-        ({"s2": 1, "f2": 1}, u[1, 0] * uc[1, 0]),
-        ({"s2": 1, "f3": 1}, u[1, 0] * uc[2, 0]),
-        ({"s3": 1, "f2": 1}, u[2, 0] * uc[1, 0]),
-        ({"s3": 1, "f3": 1}, u[2, 0] * uc[2, 0]),
     ]
     poly = FormalSeries.from_terms(_WAY1_VARS, orders, terms, clip=True)
     return series_exp(poly)
@@ -191,12 +240,10 @@ def quadrature_variance(name: str, first, n_bar, a_sq):
 
 
 def quadratures(state) -> QuadratureReport:
-    """Quadrature variances from the moments with k + l <= 2."""
-    first = moment(state, 0, 1)
-    n_bar = moment(state, 1, 1).real
-    a_sq = moment(state, 0, 2)
-    var_x = quadrature_variance("var_x", first, n_bar, a_sq)
-    var_p = quadrature_variance("var_p", first, n_bar, a_sq)
+    """Quadrature variances from the displaced-frame moments with k + l <= 2."""
+    first, n_bar, a_sq = frame_moments(_state_frame(state), state.norm)
+    var_x = float(quadrature_variance("var_x", first, n_bar, a_sq))
+    var_p = float(quadrature_variance("var_p", first, n_bar, a_sq))
     return QuadratureReport(var_x, var_p, squeeze_db(var_x))
 
 

@@ -1,9 +1,13 @@
 """Parameter-space landscapes and squeezing optimization.
 
-Grids over (|alpha|, phi) are evaluated through the same closed forms as the
-single-point path, vectorized with numpy.  Heralds that are analytically
-forbidden at a grid point (zero norm) get probability 0 and a NaN sentinel in
-variance grids; every consumer here treats NaN as "no state".
+Each cell of an (|alpha|, phi) grid is the family's state written as
+D(u11 alpha)|v> with v on three levels, built and reduced to moments by the
+same two helpers as a single state (``moments.displaced_frame`` and
+``frame_moments``), vectorized with numpy.  A cell is bit-identical to the
+same point evaluated alone with the same e^{-i phi}.  Heralds that are
+analytically forbidden at a grid point (zero norm) get probability 0 and a
+NaN sentinel in variance grids; every consumer here treats NaN as "no
+state".
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisNotSymmetric, QuantityMismatch
-from .interferometer import derived_coeffs
-from .moments import NORM_FLOOR, _antinormal_terms, quadrature_variance, squeeze_db
+from .interferometer import closed_form_matrix, derived_coeffs
+from .moments import (NORM_FLOOR, displaced_frame, frame_moments, quadrature_variance,
+                      squeeze_db)
 from .oracle import ALPHA_MAX
-from .states import PATTERNS, normalization, pattern_for_label, row_coefficients
+from .states import PATTERNS, pattern_for_label, row_coefficients
 
 QUANTITIES = ("probability", "var_x", "var_p")
 
@@ -30,11 +35,6 @@ _ZOOM_INCUMBENTS = 4
 _ZOOM_POINTS = 17
 _ZOOM_SHRINK = 4.0
 _ZOOM_XATOL = 1e-10
-
-# grid cells per block of the moment sums: 128 KiB per complex array keeps a
-# block's dozen operands inside a 2 MiB L2 cache (fastest of 1024..16384 on a
-# 2 MiB-L2 Xeon)
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -87,26 +87,6 @@ def _family_index(family) -> int:
     return index
 
 
-def _antinormal(hr: int, k: int, l: int, hl: int, b_pow, bc_pow, out, scratch):
-    """<beta| a^hr a^dagger^k a^l a^dagger^hl |beta> from power tables.
-
-    ``b_pow[q]`` and ``bc_pow[p]`` hold beta**q and conj(beta)**p on the grid.
-    The sum accumulates into ``out``; ``scratch`` holds two more buffers of
-    its shape.  Each term is ``(cr * bc_pow[p]) * b_pow[q]`` with the operands
-    in that order, and no product is written over its own operand: numpy's
-    complex multiply fuses multiply-adds on CPUs that have them, so swapped
-    operands can move the last bit, and so can a one-cell product written in
-    place, which numpy runs through its unfused loop.
-    """
-    t1, t2 = scratch
-    for n, (cr, p, q) in enumerate(_antinormal_terms(hr, k, l, hl)):
-        np.multiply(cr, bc_pow[p], out=t1)
-        np.multiply(t1, b_pow[q], out=t2)
-        # the first term lands as 0.0 + term, as in a sum started at zero
-        np.add(out if n else 0.0, t2, out=out)
-    return out
-
-
 def _mirrored_axis(lo: float, hi: float, n: int) -> np.ndarray:
     """linspace(lo, hi, n) with the mirror pairing about the midpoint exact."""
     ax = np.linspace(lo, hi, n)
@@ -142,9 +122,11 @@ def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
             phase: np.ndarray | None = None, quantities=QUANTITIES):
     """Grids of the named ``quantities`` over (|alpha|, phi), in that order.
 
-    Only the quantities asked for are computed: probability alone skips the
-    moment sums, variances skip the probability exponential, and var_x alone
-    skips var_p.  Each value is bit-identical whatever else is asked for.
+    Each cell is the family's state as D(beta)|v> with beta = u11 alpha
+    (``moments.displaced_frame``): the probability is |v|^2 times the
+    filtering factor, and the variances come from the three frame moments.
+    Only the quantities asked for are computed, and each value is
+    bit-identical whatever else is asked for.
 
     Two 1-D axes give the outer-product grid of shape (len(alpha), len(phi)).
     Otherwise the two arrays broadcast against each other as they are, so
@@ -156,93 +138,24 @@ def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
     if alpha.ndim == 1 and phi.ndim == 1:
         alpha = alpha.reshape(-1, 1)
         phi = phi.reshape(1, -1)
-    shape = np.broadcast_shapes(alpha.shape, phi.shape)
-
     e = (np.exp(-1j * phi) if phase is None
          else np.asarray(phase, dtype=complex).reshape(phi.shape))
-    diag = (e + 2.0) / 3.0
-    off = (e - 1.0) / 3.0
-    U = np.empty((3, 3) + e.shape, dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            U[i, j] = diag if i == j else off
-    D = derived_coeffs(U)
+    U = closed_form_matrix(e)
+    diag = U[0, 0]
+    cs = row_coefficients(index, U, derived_coeffs(U), alpha)
+    v, norm = displaced_frame(*cs, diag * alpha)
 
-    cs = row_coefficients(index, U, D, alpha.astype(complex))
-    seed = diag * alpha
-    norm = normalization(*cs, seed) + np.zeros(shape)
     fields = {}
     if "probability" in quantities:
         fields["probability"] = norm * np.exp((np.abs(diag) ** 2 - 1.0) * alpha ** 2)
     variances = [q for q in ("var_x", "var_p") if q in quantities]
     if variances:
-        fields.update(_variances(cs, seed, norm, variances))
+        forbidden = norm < NORM_FLOOR
+        moments = frame_moments(v, np.where(forbidden, 1.0, norm))
+        for name in variances:
+            fields[name] = quadrature_variance(name, *moments)
+            fields[name][forbidden] = np.nan
     return tuple(fields[q] for q in quantities)
-
-
-def _variances(cs, seed, norm, names) -> dict:
-    """var_x and/or var_p (as ``names`` asks) of the row ``cs`` over the grid.
-
-    The moment sums run over the flattened grid in blocks of ``_BLOCK``
-    cells, so that each block's operands stay in cache, and accumulate in
-    place.  Every cell's arithmetic is the same whatever the block size.
-    """
-    shape = norm.shape
-    forbidden = norm < NORM_FLOOR
-    live = [(h, c) for h, c in enumerate(cs) if np.any(c != 0)]
-    deg = max((h for h, _ in live), default=0)
-    if deg == 0:
-        # purely coherent row: both quadrature variances are exactly vacuum
-        out = {name: np.full(shape, 0.5) for name in names}
-        for v in out.values():
-            v[forbidden] = np.nan
-        return out
-
-    # cumulative products keep the power tables conjugation-exact; sums
-    # reach beta**(deg + 2) and conj(beta)**(deg + 1).  The zeroth powers are
-    # one broadcast element: every product with 1 + 0j is exact, so no loop
-    # numpy picks for them can move a bit.
-    size = norm.size
-    seed = seed.reshape(-1)
-    b_pow = [np.ones(1, dtype=complex)]
-    for _ in range(deg + 2):
-        b_pow.append(b_pow[-1] * seed)
-    bc_pow = [np.conjugate(p) for p in b_pow[:deg + 2]]
-    block = min(size, _BLOCK)
-    t1, t2, anti = (np.empty(block, dtype=complex) for _ in range(3))
-    # <a>, <a^dagger a>, <a^2> unnormalized, each summed over the (hl, hr)
-    # pairs in the same order
-    sums = {kl: np.zeros(size, dtype=complex) for kl in ((0, 1), (1, 1), (0, 2))}
-    for hl, c_l in live:
-        for hr, c_r in live:
-            # kept as one full-grid expression: from 256 KiB on numpy computes
-            # it in the conjugate's buffer with the operands swapped, which
-            # moves last bits under fused multiply-adds; the grids keep
-            # whichever order numpy picks
-            weight = np.broadcast_to(c_l * np.conjugate(c_r), shape).reshape(-1)
-            for start in range(0, size, block):
-                cut = slice(start, start + block)
-                n = min(block, size - start)
-                b_cut = b_pow[:1] + [b[cut] for b in b_pow[1:]]
-                bc_cut = bc_pow[:1] + [b[cut] for b in bc_pow[1:]]
-                for (k, l), total in sums.items():
-                    _antinormal(hr, k, l, hl, b_cut, bc_cut, anti[:n], (t1[:n], t2[:n]))
-                    np.multiply(weight[cut], anti[:n], out=t1[:n])
-                    total[cut] += t1[:n]
-
-    out = {}
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_norm = np.where(forbidden, 1.0, norm)
-        first = sums[0, 1].reshape(shape)
-        first /= safe_norm
-        n_bar = np.real(sums[1, 1].reshape(shape)) / safe_norm
-        a_sq = sums[0, 2].reshape(shape)
-        a_sq /= safe_norm
-        for name in names:
-            out[name] = quadrature_variance(name, first, n_bar, a_sq)
-    for v in out.values():
-        v[forbidden] = np.nan
-    return out
 
 
 def evaluate_point(family, alpha_mag: float, phi: float):

@@ -3,10 +3,13 @@
 For ancilla photon numbers at the single-photon level the heralded output of
 the interferometer is (c0 + c1 a^dagger + c2 a^dagger^2) |u11 alpha>, up to
 normalization, with coefficients that are fixed products of transfer-matrix
-entries.  This module holds that sixteen-row coefficient table, the norm and
-success-probability closed forms, the density-operator decomposition over
-photon-added coherent projectors, and the general series-extraction path that
-produces the same data for arbitrary photon numbers.
+entries.  This module holds that sixteen-row coefficient table; the norm,
+which is the squared length of the displaced-frame vector v of
+D(u11 alpha)|v> (``moments.displaced_frame``), and the success probability,
+the norm times the coherent filtering factor; the density-operator
+decomposition over photon-added coherent projectors; and the general
+series-extraction path that produces the same data for arbitrary photon
+numbers.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffInadequate, HeraldImpossible, OutOfTableRange, SeriesOrderTooLarge
-from .interferometer import DerivedCoeffs, compose, derived_coeffs
-from .moments import NORM_FLOOR, moment_component
+from .interferometer import DerivedCoeffs, derived_coeffs
+from .moments import NORM_FLOOR, _herald_terms, _trace_terms, displaced_frame, moment_component
 from .oracle import TAIL_FRACTION, FockVector, HeraldSpec, fix_global_phase
 from .series import FormalSeries, extract_derivative, series_exp, series_mul
 
@@ -124,17 +127,11 @@ def row_coefficients(index: int, U, D: DerivedCoeffs, alpha):
 
 
 def normalization(c0, c1, c2, seed):
-    """Norm squared of (c0 + c1 a^dagger + c2 a^dagger^2)|seed>, |seed> normalized."""
-    b = seed
-    b2 = np.abs(b) ** 2
-    return (
-        np.abs(c0) ** 2 + np.abs(c1) ** 2 + 2.0 * np.abs(c2) ** 2
-        + (np.abs(c1) ** 2 + 4.0 * np.abs(c2) ** 2) * b2
-        + np.abs(c2) ** 2 * b2 ** 2
-        + 2.0 * np.real(c0 * np.conjugate(c2) * b ** 2)
-        + 2.0 * np.real((c0 * np.conjugate(c1) + 2.0 * c1 * np.conjugate(c2)) * b)
-        + 2.0 * np.real(c1 * np.conjugate(c2) * b2 * b)
-    )
+    """Norm squared of (c0 + c1 a^dagger + c2 a^dagger^2)|seed>, |seed> normalized.
+
+    The squared length of the state's displaced-frame vector.
+    """
+    return displaced_frame(c0, c1, c2, seed)[1]
 
 
 def success_probability(state: ClosedFormState, alpha_mag: float, u11: complex) -> float:
@@ -235,12 +232,8 @@ def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
     u = np.asarray(U, dtype=complex)
     variables = ("s2", "s3", "t2", "t3")
     orders = (spec.n2, spec.n3, spec.m2, spec.m3)
-    herald_poly = FormalSeries.from_terms(variables, orders, [
-        ({"t2": 1}, a * u[0, 1]), ({"t2": 1, "s2": 1}, u[1, 1]),
-        ({"t2": 1, "s3": 1}, u[2, 1]),
-        ({"t3": 1}, a * u[0, 2]), ({"t3": 1, "s2": 1}, u[1, 2]),
-        ({"t3": 1, "s3": 1}, u[2, 2]),
-    ], clip=True)
+    herald_poly = FormalSeries.from_terms(variables, orders, _herald_terms(a, u),
+                                          clip=True)
     prefactor = series_exp(herald_poly)
     ladder = FormalSeries.from_terms(variables, orders, [
         ({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0]),
@@ -268,37 +261,14 @@ def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
 
 def _b4_probability(spec: HeraldSpec, u: np.ndarray) -> float:
     """Success probability by the eight-variable trace extraction."""
-    a = spec.alpha
-    ac = a.conjugate()
-    uc = u.conjugate()
     variables = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3")
     orders = (spec.n2, spec.n3, spec.m2, spec.m3,
               spec.n2, spec.n3, spec.m2, spec.m3)
-    poly = FormalSeries.from_terms(variables, orders, [
-        ({"t2": 1}, a * u[0, 1]), ({"t2": 1, "s2": 1}, u[1, 1]),
-        ({"t2": 1, "s3": 1}, u[2, 1]),
-        ({"t3": 1}, a * u[0, 2]), ({"t3": 1, "s2": 1}, u[1, 2]),
-        ({"t3": 1, "s3": 1}, u[2, 2]),
-        ({"g2": 1}, ac * uc[0, 1]), ({"g2": 1, "f2": 1}, uc[1, 1]),
-        ({"g2": 1, "f3": 1}, uc[2, 1]),
-        ({"g3": 1}, ac * uc[0, 2]), ({"g3": 1, "f2": 1}, uc[1, 2]),
-        ({"g3": 1, "f3": 1}, uc[2, 2]),
-        ({"s2": 1}, ac * uc[0, 0] * u[1, 0]), ({"s3": 1}, ac * uc[0, 0] * u[2, 0]),
-        ({"f2": 1}, a * u[0, 0] * uc[1, 0]), ({"f3": 1}, a * u[0, 0] * uc[2, 0]),
-        ({"s2": 1, "f2": 1}, u[1, 0] * uc[1, 0]),
-        ({"s2": 1, "f3": 1}, u[1, 0] * uc[2, 0]),
-        ({"s3": 1, "f2": 1}, u[2, 0] * uc[1, 0]),
-        ({"s3": 1, "f3": 1}, u[2, 0] * uc[2, 0]),
-    ], clip=True)
+    poly = FormalSeries.from_terms(variables, orders, _trace_terms(spec.alpha, u),
+                                   clip=True)
     raw = extract_derivative(series_exp(poly), orders)
     fact = (math.factorial(spec.n2) * math.factorial(spec.n3)
             * math.factorial(spec.m2) * math.factorial(spec.m3))
     scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
     return float(raw.real * scale)
 
-
-def heralded_state(spec: HeraldSpec, U: np.ndarray | None = None) -> ClosedFormState:
-    """Convenience wrapper: closed-form state straight from a herald spec."""
-    if U is None:
-        U = compose(spec.phi)
-    return table1_coeffs(spec, U)

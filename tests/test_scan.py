@@ -282,3 +282,27 @@ def test_batched_fields_match_outer_product_calls():
             single = _fields(index, alpha[k], phi[k])
             for b, s in zip(batched, single):
                 np.testing.assert_array_equal(b[k], s)
+
+
+@pytest.mark.parametrize("label", ["psi8", "psi14", "psi16"])
+def test_scan_cells_equal_evaluate_point(label):
+    # on the phi <= pi half both paths get e^{-i phi} from the same exp; the
+    # 200x100 half exceeds 256 KiB per complex grid, where numpy starts to
+    # evaluate temporaries in place
+    grids = [scan(label, q, resolution=200) for q in ("probability", "var_x", "var_p")]
+    alpha_axis, phi_axis = grids[0].alpha_axis, grids[0].phi_axis
+    for i in range(0, 200, 7):
+        for j in range(0, 200, 7):
+            if phi_axis[j] > np.pi:
+                continue
+            want = [g.values[i, j] for g in grids]
+            got = evaluate_point(label, alpha_axis[i], phi_axis[j])
+            np.testing.assert_array_equal(got, want, err_msg=f"cell ({i}, {j})")
+
+
+# every 3/8 level: the analytic floor, which the returned minimum may only
+# approach from above, up to the rounding of one evaluation
+@pytest.mark.parametrize("label", ["psi5", "psi6", "psi8", "psi9", "psi10", "psi11",
+                                   "psi12", "psi13"])
+def test_three_eighths_minimum_not_below_floor(label):
+    assert minimize_variance(label).var_min >= 0.375 - 1e-15
