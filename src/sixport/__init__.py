@@ -64,6 +64,7 @@ from .oracle import (
     permanent,
 )
 from .scan import (
+    GRID_CELLS_MAX,
     OptResult,
     ScanGrid,
     evaluate_point,

@@ -3,11 +3,24 @@
 Each cell of an (|alpha|, phi) grid is the family's state written as
 D(u11 alpha)|v> with v on three levels, built and reduced to moments by the
 same two helpers as a single state (``moments.displaced_frame`` and
-``frame_moments``), vectorized with numpy.  A cell is bit-identical to the
-same point evaluated alone with the same e^{-i phi}.  Heralds that are
-analytically forbidden at a grid point (zero norm) get probability 0 and a
-NaN sentinel in variance grids; every consumer here treats NaN as "no
-state".
+``frame_moments``), vectorized with numpy.  A computed cell is bit-identical
+to the same point evaluated alone.  Heralds that are analytically forbidden
+at a grid point (zero norm) get probability 0 and a NaN sentinel in variance
+grids; every consumer here treats NaN as "no state".
+
+No grid work is wasted:
+
+* phi -> 2 pi - phi conjugates e^{-i phi} and leaves every quantity
+  unchanged, so a full-circle phi axis is evaluated on its phi <= pi half
+  only and the other half is its exact mirror copy;
+* the zoom's incumbents are the coarse grid's four smallest cells, picked
+  by a partition rather than a sort of the whole grid;
+* a large outer-product grid is evaluated a block of whole rows at a time,
+  so the temporaries stay cache-sized and are reused rather than allocated
+  (and page-faulted) at full grid size.
+
+Grids are bounded: one with more than ``GRID_CELLS_MAX`` cells is refused
+with ``WorkTooLarge`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisNotSymmetric, QuantityMismatch
+from .errors import AxisNotSymmetric, QuantityMismatch, WorkTooLarge
 from .interferometer import closed_form_matrix, derived_coeffs
 from .moments import (NORM_FLOOR, displaced_frame, frame_moments, quadrature_variance,
                       squeeze_db)
@@ -35,6 +48,11 @@ _ZOOM_INCUMBENTS = 4
 _ZOOM_POINTS = 17
 _ZOOM_SHRINK = 4.0
 _ZOOM_XATOL = 1e-10
+
+# largest grid ``scan`` and ``minimize_variance`` accept, in cells
+GRID_CELLS_MAX = 2 ** 22
+# cells per row block of a large outer-product grid in ``_fields``
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -96,30 +114,14 @@ def _mirrored_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return ax
 
 
-def _phase_factors(phi_axis: np.ndarray, mirror: bool) -> np.ndarray:
-    """e^{-i phi} along the axis.
-
-    For a full-circle axis the upper half is assigned the exact conjugates of
-    the lower half, so conjugation symmetry (and with it the phi -> 2 pi - phi
-    symmetry of every derived grid) holds bit-exactly rather than to rounding.
-    """
-    phi = np.asarray(phi_axis, dtype=float)
-    n = len(phi)
-    two_pi = 2.0 * math.pi
-    full_circle = (n >= 2 and abs(phi[0] + phi[-1] - two_pi) < 1e-9
-                   and np.max(np.abs(phi + phi[::-1] - two_pi)) < 1e-9)
-    if not (mirror and full_circle):
-        return np.exp(-1j * phi)
-    e = np.empty(n, dtype=complex)
-    half = (n + 1) // 2
-    e[:half] = np.exp(-1j * phi[:half])
-    for i in range(n // 2):
-        e[n - 1 - i] = e[i].conjugate()
-    return e
+def _check_grid_cells(what: str, rows: int, cols: int) -> None:
+    if rows * cols > GRID_CELLS_MAX:
+        raise WorkTooLarge(f"{what} {rows}x{cols} has {rows * cols} cells, "
+                           f"over GRID_CELLS_MAX = {GRID_CELLS_MAX}")
 
 
 def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
-            phase: np.ndarray | None = None, quantities=QUANTITIES):
+            quantities=QUANTITIES):
     """Grids of the named ``quantities`` over (|alpha|, phi), in that order.
 
     Each cell is the family's state as D(beta)|v> with beta = u11 alpha
@@ -129,20 +131,38 @@ def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
     bit-identical whatever else is asked for.
 
     Two 1-D axes give the outer-product grid of shape (len(alpha), len(phi)).
-    Otherwise the two arrays broadcast against each other as they are, so
-    alpha of shape (K, m, 1) with phi of shape (K, 1, m) evaluates K grids in
-    one call.  ``phase`` holds e^{-i phi} in the shape of ``phi``.
+    One of more than ``_BLOCK_CELLS`` cells is evaluated into preallocated
+    outputs a block of whole rows at a time (a single row when the phi axis
+    alone exceeds a block); every operation is elementwise, so a cell's value
+    does not depend on the block it falls in.  Otherwise the two arrays
+    broadcast against each other as they are, so alpha of shape (K, m, 1)
+    with phi of shape (K, 1, m) evaluates K grids in one call.  The kernel
+    knows nothing of the phi -> 2 pi - phi mirror: ``scan`` and the coarse
+    stage of ``minimize_variance`` pass it the phi <= pi half themselves.
     """
     alpha = np.asarray(alpha_axis, dtype=float)
     phi = np.asarray(phi_axis, dtype=float)
-    if alpha.ndim == 1 and phi.ndim == 1:
+    outer = alpha.ndim == 1 and phi.ndim == 1
+    if outer:
         alpha = alpha.reshape(-1, 1)
         phi = phi.reshape(1, -1)
-    e = (np.exp(-1j * phi) if phase is None
-         else np.asarray(phase, dtype=complex).reshape(phi.shape))
-    U = closed_form_matrix(e)
+    U = closed_form_matrix(np.exp(-1j * phi))
+    D = derived_coeffs(U)
+    if not (outer and alpha.size * phi.size > _BLOCK_CELLS):
+        return _cell_fields(index, U, D, alpha, quantities)
+    out = tuple(np.empty((alpha.size, phi.size)) for _ in quantities)
+    rows = max(1, _BLOCK_CELLS // phi.size)
+    for r in range(0, alpha.size, rows):
+        block = _cell_fields(index, U, D, alpha[r:r + rows], quantities)
+        for grid, values in zip(out, block):
+            grid[r:r + rows] = values
+    return out
+
+
+def _cell_fields(index: int, U, D, alpha, quantities):
+    """``_fields`` on matrix entries ``U`` and ``D`` already built from phi."""
     diag = U[0, 0]
-    cs = row_coefficients(index, U, derived_coeffs(U), alpha)
+    cs = row_coefficients(index, U, D, alpha)
     v, norm = displaced_frame(*cs, diag * alpha)
 
     fields = {}
@@ -169,8 +189,11 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
          resolution: int | tuple[int, int] = 200) -> ScanGrid:
     """Dense landscape of one quantity for one family.
 
-    Only the requested quantity is computed.  Both ranges must be finite and
-    |alpha| must lie in [0, ALPHA_MAX] (``ValueError`` otherwise).
+    Only the requested quantity is computed.  On a full-circle phi axis only
+    the phi <= pi half is evaluated and the rest is its mirror copy; any
+    other range is evaluated whole.  Both ranges must be finite and |alpha|
+    must lie in [0, ALPHA_MAX] (``ValueError`` otherwise); a grid of more
+    than ``GRID_CELLS_MAX`` cells raises ``WorkTooLarge``.
     """
     if quantity not in QUANTITIES:
         raise QuantityMismatch(f"unknown quantity {quantity!r}")
@@ -187,10 +210,16 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
         res_a, res_p = resolution
     if res_a < 2 or res_p < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    _check_grid_cells("scan grid", res_a, res_p)
     alpha_axis = np.linspace(alpha_range[0], alpha_range[1], res_a)
     phi_axis = _mirrored_axis(phi_range[0], phi_range[1], res_p)
-    phase = _phase_factors(phi_axis, mirror=True)
-    (values,) = _fields(index, alpha_axis, phi_axis, phase, (quantity,))
+    # a full circle mirrors onto itself about pi: phi pairs with 2 pi - phi
+    full_circle = np.max(np.abs(phi_axis + phi_axis[::-1] - 2.0 * math.pi)) < 1e-9
+    if not full_circle:
+        (values,) = _fields(index, alpha_axis, phi_axis, (quantity,))
+        return ScanGrid(alpha_axis, phi_axis, values, quantity)
+    (low,) = _fields(index, alpha_axis, phi_axis[:(res_p + 1) // 2], (quantity,))
+    values = np.concatenate((low, low[:, :res_p // 2][:, ::-1]), axis=1)
     return ScanGrid(alpha_axis, phi_axis, values, quantity)
 
 
@@ -207,12 +236,15 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
 
     Coarse mirror-half grid plus a deterministic 4-incumbent grid zoom.  The
     coarse stage evaluates the phi <= pi half of the ``scan`` grid with
-    ``coarse_resolution`` points per axis; the other half mirrors it
-    bit-exactly.  Its four best cells (ties broken toward smaller |alpha|,
-    then smaller phi) are the incumbents of the zoom, which shrinks 17x17
-    boxes around them 4x per level (``_nm_minimize``).  Both stages compute
-    var_x alone, and the returned point its probability alone.
-    ``evaluations`` counts the points both stages evaluated.
+    ``coarse_resolution`` points per axis (the other half is its mirror, so
+    holds nothing new); a half of more than ``GRID_CELLS_MAX`` cells raises
+    ``WorkTooLarge``.  Its four best cells (NaN as +inf, ties broken toward
+    smaller |alpha|, then smaller phi) are the incumbents of the zoom; they
+    are selected by a partition, in the order a stable sort of the whole
+    grid would give.  The zoom shrinks 17x17 boxes around them 4x per level
+    (``_nm_minimize``).  Both stages compute var_x alone, and the returned
+    point its probability alone.  ``evaluations`` counts the points both
+    stages evaluated.
     """
     index = _family_index(family)
     if index <= 4:
@@ -224,19 +256,19 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
         raise ValueError("coarse_resolution must be at least 2")
 
     n = coarse_resolution
+    half = (n + 1) // 2
+    _check_grid_cells("coarse grid", n, half)
     alpha_axis = np.linspace(*ALPHA_BOX, n)
     phi_axis = _mirrored_axis(*PHI_BOX, n)
-    half = (n + 1) // 2
-    phase = _phase_factors(phi_axis, mirror=True)
-    (var_x,) = _fields(index, alpha_axis, phi_axis[:half], phase[:half], ("var_x",))
-    filled = np.where(np.isnan(var_x), np.inf, var_x)
-    # stable row-major order: alpha ties first, then phi
-    order = np.argsort(filled, axis=None, kind="stable")[:_ZOOM_INCUMBENTS]
-    ia, ip = np.unravel_index(order, filled.shape)
+    (var_x,) = _fields(index, alpha_axis, phi_axis[:half], ("var_x",))
+    order = _smallest_cells(var_x, _ZOOM_INCUMBENTS)
+    ia, ip = np.unravel_index(order, var_x.shape)
+    incumbents = var_x.reshape(-1)[order]
     cell = ((ALPHA_BOX[1] - ALPHA_BOX[0]) / (n - 1),
             (PHI_BOX[1] - PHI_BOX[0]) / (n - 1))
     a_opt, p_opt, best, zoomed = _nm_minimize(
-        index, alpha_axis[ia], phi_axis[ip], filled.reshape(-1)[order], cell)
+        index, alpha_axis[ia], phi_axis[ip],
+        np.where(np.isnan(incumbents), np.inf, incumbents), cell)
     (prob,) = _fields(index, np.array([a_opt]), np.array([p_opt]),
                       quantities=("probability",))
     return OptResult(
@@ -247,6 +279,21 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
         probability_at_opt=float(prob[0, 0]),
         evaluations=var_x.size + zoomed,
     )
+
+
+def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the ``k`` smallest ``values`` (NaN as +inf), smallest first.
+
+    The same indices, in the same order, as a stable ``argsort`` of the
+    flattened values with NaN replaced by +inf: equal values keep row-major
+    order.  A partition finds the k-th smallest value, and only the
+    cells at or below it are sorted.  Fewer than ``k`` cells give them all.
+    """
+    flat = np.where(np.isnan(values), np.inf, values).reshape(-1)
+    k = min(k, flat.size)
+    kth = np.partition(flat, k - 1)[k - 1]
+    near = np.flatnonzero(flat <= kth)
+    return near[np.argsort(flat[near], kind="stable")[:k]]
 
 
 # the benchmark's tracer looks the refinement up by this name (scan.refine_s)
