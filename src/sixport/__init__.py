@@ -94,6 +94,6 @@ from .states import (
     success_probability,
     table1_coeffs,
 )
-from .verification import run_verification
+from .verification import SAMPLES_MAX, run_verification
 
 __version__ = "0.1.0"

@@ -38,9 +38,10 @@ PHASE_EPS = 1e-10        # relative threshold for "lowest nonzero amplitude"
 ALPHA_MAX = 1e6
 # Largest oracle box in complex cells: 64 MiB per buffer, of which the
 # raising loop holds about five.  The largest box the package asks for
-# itself, ~(121, 116, 116) = 1.6M cells, is the default herald box at
-# |alpha| = 10.  A larger cutoff or herald box is refused with WorkTooLarge
-# before anything is allocated.
+# itself inside the optimisation box, (223, 116, 116) = 3.0M cells, is the
+# default herald box at |alpha| = 10, phi = 0, n2 = n3 = 1.  A larger
+# cutoff or herald box is refused with WorkTooLarge before anything is
+# allocated.
 BOX_CELLS_MAX = 2 ** 22
 
 
@@ -144,12 +145,14 @@ def fock_amplitude(U: np.ndarray, n_in, n_out) -> complex:
 
 def default_cutoff(spec: HeraldSpec) -> int:
     """Signal-mode truncation: Poisson bulk of the transmitted coherent seed
-    plus a wide safety band, plus the added ancilla photons; clamped [20, 120].
+    plus a wide safety band, plus the added ancilla photons; at least 20.
+
+    There is no upper clamp: ``BOX_CELLS_MAX`` bounds the box it sizes.
     """
     u11 = (np.exp(-1j * spec.phi) + 2.0) / 3.0
     s = abs(u11) * spec.alpha_mag
     c = math.ceil(s * s + 10.0 * s + 20.0) + spec.n2 + spec.n3
-    return int(min(max(c, 20), 120))
+    return int(max(c, 20))
 
 
 def default_herald_max(alpha_mag: float) -> int:

@@ -17,7 +17,11 @@ No grid work is wasted:
   by a partition rather than a sort of the whole grid;
 * a large outer-product grid is evaluated a block of whole rows at a time,
   so the temporaries stay cache-sized and are reused rather than allocated
-  (and page-faulted) at full grid size.
+  (and page-faulted) at full grid size;
+* a level that is identically zero for the family is never built or
+  multiplied, a level that does not involve |alpha| stays one row of phi
+  values, each level is squared once, and the forbidden-cell guard runs
+  only on blocks that hold a forbidden cell.
 
 Grids are bounded: one with more than ``GRID_CELLS_MAX`` cells is refused
 with ``WorkTooLarge`` before anything is allocated.
@@ -160,10 +164,13 @@ def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
 
 
 def _cell_fields(index: int, U, D, alpha, quantities):
-    """``_fields`` on matrix entries ``U`` and ``D`` already built from phi."""
+    """``_fields`` on matrix entries ``U`` and ``D`` already built from phi.
+
+    Levels that are identically zero for the family are skipped, and the
+    forbidden-cell guard runs only when some cell is forbidden.
+    """
     diag = U[0, 0]
-    cs = row_coefficients(index, U, D, alpha)
-    v, norm = displaced_frame(*cs, diag * alpha)
+    v, squares, norm = displaced_frame(*row_coefficients(index, U, D, alpha), diag * alpha)
 
     fields = {}
     if "probability" in quantities:
@@ -171,10 +178,20 @@ def _cell_fields(index: int, U, D, alpha, quantities):
     variances = [q for q in ("var_x", "var_p") if q in quantities]
     if variances:
         forbidden = norm < NORM_FLOOR
-        moments = frame_moments(v, np.where(forbidden, 1.0, norm))
+        any_forbidden = np.any(forbidden)
+        if any_forbidden:
+            norm = np.where(forbidden, 1.0, norm)
+        moments = frame_moments(v, squares, norm)
+        shape = np.broadcast_shapes(np.shape(diag), np.shape(alpha))
         for name in variances:
-            fields[name] = quadrature_variance(name, *moments)
-            fields[name][forbidden] = np.nan
+            value = quadrature_variance(name, *moments)
+            # a state with no level that varies over the grid (psi1) has
+            # constant moments
+            if np.shape(value) != shape:
+                value = np.full(shape, value)
+            if any_forbidden:
+                value[forbidden] = np.nan
+            fields[name] = value
     return tuple(fields[q] for q in quantities)
 
 
@@ -347,11 +364,12 @@ def symmetry_report(grid: ScanGrid, axis_tol: float = 1e-9) -> float:
         raise AxisNotSymmetric("phi axis must span [0, 2 pi]")
     if np.max(np.abs(phi + phi[::-1] - two_pi)) > axis_tol:
         raise AxisNotSymmetric("phi axis points must mirror about pi")
-    v = grid.values
-    w = v[:, ::-1]
+    # |a - b| = |b - a|, so the phi <= pi half holds every pair's difference
+    half = (grid.values.shape[1] + 1) // 2
+    v = grid.values[:, :half]
+    w = grid.values[:, ::-1][:, :half]
     nan_v = np.isnan(v)
-    nan_w = np.isnan(w)
-    if np.any(nan_v != nan_w):
+    if np.any(nan_v != np.isnan(w)):
         return float("inf")
     diff = np.abs(v - w)
     diff[nan_v] = 0.0

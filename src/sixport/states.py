@@ -83,46 +83,48 @@ class DensityComponent:
 def row_coefficients(index: int, U, D: DerivedCoeffs, alpha):
     """Coefficient tuple (c0, c1, c2) of family ``index``.
 
-    ``U`` may hold scalar entries or arrays broadcast over a parameter grid;
-    the expressions below only index and multiply, so both work alike.
+    A level that is identically zero for the family is None.  ``U`` may hold
+    scalar entries or arrays broadcast over a parameter grid; the
+    expressions below only index and multiply, so both work alike.  A level
+    that does not involve ``alpha`` keeps the shape of the entries it is
+    built from.
     """
     u12, u13 = U[0, 1], U[0, 2]
     u21, u31 = U[1, 0], U[2, 0]
     u22, u23 = U[1, 1], U[1, 2]
     u32, u33 = U[2, 1], U[2, 2]
-    zero = 0.0 * alpha  # keeps array shapes when broadcasting
     if index == 1:
-        return 1.0 + zero, zero, zero
+        return 1.0, None, None
     if index == 2:
-        return u12 * alpha, zero, zero
+        return u12 * alpha, None, None
     if index == 3:
-        return u13 * alpha, zero, zero
+        return u13 * alpha, None, None
     if index == 4:
-        return u12 * u13 * alpha ** 2, zero, zero
+        return u12 * u13 * alpha ** 2, None, None
     if index == 5:
-        return zero, u21 + zero, zero
+        return None, u21, None
     if index == 6:
-        return zero, u31 + zero, zero
+        return None, u31, None
     if index == 7:
-        return zero, zero, u21 * u31 + zero
+        return None, None, u21 * u31
     if index == 8:
-        return u22 + zero, u12 * u21 * alpha, zero
+        return u22, u12 * u21 * alpha, None
     if index == 9:
-        return u33 + zero, u13 * u31 * alpha, zero
+        return u33, u13 * u31 * alpha, None
     if index == 10:
-        return u32 + zero, u12 * u31 * alpha, zero
+        return u32, u12 * u31 * alpha, None
     if index == 11:
-        return u23 + zero, u13 * u21 * alpha, zero
+        return u23, u13 * u21 * alpha, None
     if index == 12:
-        return D.tau1 * alpha, u12 * u13 * u21 * alpha ** 2, zero
+        return D.tau1 * alpha, u12 * u13 * u21 * alpha ** 2, None
     if index == 13:
-        return D.tau2 * alpha, u12 * u13 * u31 * alpha ** 2, zero
+        return D.tau2 * alpha, u12 * u13 * u31 * alpha ** 2, None
     if index == 14:
-        return zero, D.tau3 + zero, u12 * u21 * u31 * alpha
+        return None, D.tau3, u12 * u21 * u31 * alpha
     if index == 15:
-        return zero, D.tau4 + zero, u13 * u21 * u31 * alpha
+        return None, D.tau4, u13 * u21 * u31 * alpha
     if index == 16:
-        return D.tau5 + zero, D.kappa * alpha, u12 * u13 * u21 * u31 * alpha ** 2
+        return D.tau5, D.kappa * alpha, u12 * u13 * u21 * u31 * alpha ** 2
     raise OutOfTableRange(f"family index {index} outside 1..16")
 
 
@@ -131,7 +133,7 @@ def normalization(c0, c1, c2, seed):
 
     The squared length of the state's displaced-frame vector.
     """
-    return displaced_frame(c0, c1, c2, seed)[1]
+    return displaced_frame(c0, c1, c2, seed)[2]
 
 
 def success_probability(state: ClosedFormState, alpha_mag: float, u11: complex) -> float:
@@ -149,7 +151,14 @@ def table1_coeffs(spec: HeraldSpec, U: np.ndarray,
     if D is None:
         D = derived_coeffs(U)
     index = PATTERNS[pattern]
-    c0, c1, c2 = (complex(c) for c in row_coefficients(index, U, D, spec.alpha))
+    # Level k carries alpha^(k + m2 + m3 - n2 - n3), photon number being
+    # conserved, so at most one level has no alpha factor.  That level and
+    # the zero levels get + 0.0 * alpha, which fixes the sign of every zero
+    # part of the coefficients (they are printed).
+    zero = 0.0 * spec.alpha
+    free = spec.n2 + spec.n3 - spec.m2 - spec.m3
+    c0, c1, c2 = (complex(zero if c is None else c + zero if k == free else c)
+                  for k, c in enumerate(row_coefficients(index, U, D, spec.alpha)))
     seed = complex(U[0, 0]) * spec.alpha
     norm = float(normalization(c0, c1, c2, seed))
     prob = norm * math.exp((abs(U[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2)
