@@ -18,9 +18,9 @@ from sixport import (
     general_heralded,
     herald_state,
     moment,
-    moment_way1,
     state_fock_vector,
     table1_coeffs,
+    way1_moment_table,
 )
 
 spec = HeraldSpec(1, 1, 1, 1, alpha_mag=2.0, phi=2.0)
@@ -44,7 +44,7 @@ print(f"  state amplitudes, table vs oracle: max dev = "
 
 print("\nMoments <a^dag^k a^l> by all routes (k = 2, l = 1):")
 w2 = moment(closed, 2, 1)
-w1 = moment_way1(spec, U, 2, 1)
+w1 = way1_moment_table(spec, U, 2, 1)[2, 1]
 ora = expectation(oracle_vec, 2, 1)
 print(f"  projector decomposition: {w2:.12f}")
 print(f"  direct extraction:       {w1:.12f}")

@@ -3,10 +3,10 @@
 A coherent state enters the first port and Fock states the two ancilla
 ports; photon counting on the ancilla outputs heralds a nonclassical state
 in the signal output.  The package provides the device transfer matrix, the
-closed-form heralded states with their success probabilities, an independent
-truncated-Fock-space oracle, operator moments via two generating-function
-routes, and (|alpha|, phi) landscape scans with quadrature-squeezing
-optimization.
+closed-form heralded states with their success probabilities and operator
+moments, an independent truncated-Fock-space oracle, (|alpha|, phi)
+landscape scans with quadrature-squeezing optimization, and the paper's
+generating-function derivative method, kept as a cross-check.
 """
 
 from .errors import (
@@ -34,7 +34,6 @@ from .interferometer import (
     DerivedCoeffs,
     compose,
     derived_coeffs,
-    is_unitary,
     phase_matrix,
     tritter1_matrix,
     tritter2_matrix,
@@ -43,11 +42,8 @@ from .moments import (
     QuadratureReport,
     expectation_quadratures,
     moment,
-    moment_component,
-    moment_way1,
     quadratures,
     squeeze_db,
-    way1_moment_table,
 )
 from .oracle import (
     ALPHA_MAX,
@@ -75,23 +71,20 @@ from .scan import (
 )
 from .series import (
     FormalSeries,
+    GeneralHeraldResult,
     extract_derivative,
+    general_heralded,
+    moment_component,
     series_exp,
-    series_from_polynomial,
-    series_mul,
+    way1_moment_table,
 )
 from .states import (
     ClosedFormState,
-    DensityComponent,
-    GeneralHeraldResult,
     LABELS,
     PATTERNS,
-    density_components,
-    general_heralded,
     normalization,
     pattern_for_label,
     state_fock_vector,
-    success_probability,
     table1_coeffs,
 )
 from .verification import SAMPLES_MAX, run_verification

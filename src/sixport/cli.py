@@ -11,6 +11,7 @@ verification).  Error payloads are JSON objects {"error": ..., "message": ...}
 on stderr.
 
 A JSON file passed via --config seeds any omitted flags; explicit flags win.
+A config value must have its flag's JSON type (else ConfigError, exit 2).
 The environment variable SIXPORT_CUTOFF overrides the default Fock cutoff
 when no --cutoff is given.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .interferometer import compose
-from .moments import expectation_quadratures, moment, quadratures, squeeze_db
+from .moments import MAX_POWER, expectation_quadratures, moment, quadratures, squeeze_db
 from .oracle import (
     HeraldSpec,
     default_cutoff,
@@ -37,7 +38,8 @@ from .oracle import (
     herald_state,
 )
 from .scan import minimize_variance, scan
-from .states import PATTERNS, general_heralded, pattern_for_label, table1_coeffs
+from .series import general_heralded
+from .states import PATTERNS, pattern_for_label, table1_coeffs
 from .verification import run_verification
 
 ENV_CUTOFF = "SIXPORT_CUTOFF"
@@ -173,6 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(parser: argparse.ArgumentParser, command: str, name: str, value):
+    """A --config value as its flag's type; ValueError if the JSON type or choice is wrong.
+
+    int flags take integers, float flags any number, the others strings; never true or false.
+    """
+    actions = list(parser._actions)
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            actions += a.choices[command]._actions
+    action = next(a for a in actions if a.dest == name)
+    kind = action.type or str
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return kind(value)
+
+
 def _require(args, names) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
@@ -274,8 +294,8 @@ def _cmd_state(args) -> str:
 def _cmd_moments(args) -> str:
     spec = _spec_from_args(args)
     _require(args, ["k", "l"])
-    if args.k < 0 or args.l < 0:
-        raise ValidationError("--k and --l must be non-negative")
+    if not (0 <= args.k <= MAX_POWER and 0 <= args.l <= MAX_POWER):
+        raise ValidationError(f"--k and --l must be in 0..{MAX_POWER}")
     if args.method == "closed":
         st = table1_coeffs(spec, compose(spec.phi))
         value = moment(st, args.k, args.l)
@@ -385,7 +405,11 @@ def main(argv=None) -> int:
         for key, value in config.items():
             name = key.replace("-", "_")
             if getattr(args, name, None) is None and hasattr(args, name):
-                setattr(args, name, value)
+                try:
+                    setattr(args, name, _config_value(parser, args.command, name, value))
+                except (ValueError, OverflowError):
+                    _fail("ConfigError", f"config value {key!r} does not fit its flag")
+                    return 2
     for name, value in _DEFAULTS.items():
         if hasattr(args, name) and getattr(args, name) is None:
             setattr(args, name, value)

@@ -109,7 +109,3 @@ def derived_coeffs(U: np.ndarray) -> DerivedCoeffs:
         ),
     )
 
-
-def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:
-    """True if U @ U^dagger is the identity within ``tol``."""
-    return bool(np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) <= tol)

@@ -9,12 +9,6 @@ Quadrature variances do not change under a displacement, so they come from
 those three with no |beta|^2-sized terms to cancel; ``moment`` undoes the
 displacement by a binomial sum.  The grid kernel in ``scan`` runs the same two helpers over
 whole (|alpha|, phi) grids.
-
-Two generating-series routes stay as independent cross-checks:
-``moment_component`` extracts one projector moment from a four-variable
-series, and "way 1" extracts the moment straight from the ten-variable
-generating expression of the heralded density operator, without forming
-state coefficients.
 """
 
 from __future__ import annotations
@@ -25,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HeraldImpossible, NonpositiveVariance
-from .oracle import FockVector, HeraldSpec, expectation
-from .series import FormalSeries, extract_derivative, series_exp
+from .oracle import FockVector, expectation
 
 NORM_FLOOR = 1e-28   # below this the herald is analytically forbidden
 MAX_POWER = 8        # scope guard on moment powers
@@ -106,30 +99,6 @@ def _state_frame(state):
     return [complex(x) for x in v], [float(x) for x in squares]
 
 
-def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> complex:
-    """<a^dagger^k a^l> on the projector a^dagger^{h_l} |seed><seed| a^{h_r}.
-
-    The coherent state |seed> is normalized; the result is the trace
-    Tr[a^dagger^k a^l a^dagger^{h_l} |seed><seed| a^{h_r}], obtained as the
-    (h_l, h_r, k, l) mixed derivative at zero of
-    exp(s nu + t mu + s t) * exp((nu + t) seed + (s + mu) conj(seed)).
-    """
-    seed = complex(seed)
-    orders = (h_l, h_r, k, l)
-    poly = FormalSeries.from_terms(
-        ("s", "t", "mu", "nu"), orders,
-        [({"s": 1, "nu": 1}, 1.0),
-         ({"t": 1, "mu": 1}, 1.0),
-         ({"s": 1, "t": 1}, 1.0),
-         ({"nu": 1}, seed),
-         ({"t": 1}, seed),
-         ({"s": 1}, seed.conjugate()),
-         ({"mu": 1}, seed.conjugate())],
-        clip=True,
-    )
-    return extract_derivative(series_exp(poly), orders)
-
-
 def moment(state, k: int, l: int) -> complex:
     """<a^dagger^k a^l> on a closed-form state.
 
@@ -152,98 +121,6 @@ def moment(state, k: int, l: int) -> complex:
             total += (math.comb(k, i) * math.comb(l, j)
                       * beta_c ** (k - i) * beta ** (l - j) * inner)
     return complex(total / state.norm)
-
-
-def _herald_terms(a, u, names=("s2", "s3", "t2", "t3")) -> list:
-    """Terms of the herald polynomial: t_k (a u[0, k] + s2 u[1, k] + s3 u[2, k]), k = 1, 2.
-
-    ``names`` gives (s2, s3, t2, t3).  The bra's terms are those of conj(a),
-    conj(u) under the names (f2, f3, g2, g3).
-    """
-    s2, s3, t2, t3 = names
-    return [({t2: 1}, a * u[0, 1]), ({t2: 1, s2: 1}, u[1, 1]), ({t2: 1, s3: 1}, u[2, 1]),
-            ({t3: 1}, a * u[0, 2]), ({t3: 1, s2: 1}, u[1, 2]), ({t3: 1, s3: 1}, u[2, 2])]
-
-
-def _trace_terms(a, u) -> list:
-    """Exponent terms of the trace of the heralded density operator.
-
-    The ket's herald terms, the bra's, and the signal-mode overlap of the
-    two generating amplitudes, which couples s and f.  The constant
-    |a u[0, 0]|^2 is left out.
-    """
-    ac = a.conjugate()
-    uc = u.conjugate()
-    overlap = [
-        ({"s2": 1}, ac * uc[0, 0] * u[1, 0]), ({"s3": 1}, ac * uc[0, 0] * u[2, 0]),
-        ({"f2": 1}, a * u[0, 0] * uc[1, 0]), ({"f3": 1}, a * u[0, 0] * uc[2, 0]),
-        ({"s2": 1, "f2": 1}, u[1, 0] * uc[1, 0]),
-        ({"s2": 1, "f3": 1}, u[1, 0] * uc[2, 0]),
-        ({"s3": 1, "f2": 1}, u[2, 0] * uc[1, 0]),
-        ({"s3": 1, "f3": 1}, u[2, 0] * uc[2, 0]),
-    ]
-    return _herald_terms(a, u) + _herald_terms(ac, uc, ("f2", "f3", "g2", "g3")) + overlap
-
-
-_WAY1_VARS = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3", "mu", "nu")
-
-
-def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> FormalSeries:
-    """Generating series whose mixed derivatives give way-1 moments.
-
-    The trace terms gain the generating variables mu (a^dagger) and nu (a).
-    The constant |alpha u11|^2 in the exponent is dropped; it cancels in the
-    moment ratio below.
-    """
-    a = spec.alpha
-    ac = a.conjugate()
-    u = np.asarray(U, dtype=complex)
-    uc = u.conjugate()
-    orders = (spec.n2, spec.n3, spec.m2, spec.m3,
-              spec.n2, spec.n3, spec.m2, spec.m3, k, l)
-    terms = _trace_terms(a, u) + [
-        ({"mu": 1}, ac * uc[0, 0]), ({"mu": 1, "f2": 1}, uc[1, 0]),
-        ({"mu": 1, "f3": 1}, uc[2, 0]),
-        ({"nu": 1}, a * u[0, 0]), ({"nu": 1, "s2": 1}, u[1, 0]),
-        ({"nu": 1, "s3": 1}, u[2, 0]),
-    ]
-    poly = FormalSeries.from_terms(_WAY1_VARS, orders, terms, clip=True)
-    return series_exp(poly)
-
-
-def moment_way1(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> complex:
-    """<a^dagger^k a^l> straight from the heralded density operator (way 1)."""
-    if not (0 <= k <= MAX_POWER and 0 <= l <= MAX_POWER):
-        raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
-    exp_series = _way1_series(spec, U, k, l)
-    base = (spec.n2, spec.n3, spec.m2, spec.m3,
-            spec.n2, spec.n3, spec.m2, spec.m3)
-    trace = extract_derivative(exp_series, base + (0, 0))
-    if abs(trace) < NORM_FLOOR:
-        raise HeraldImpossible("herald has zero probability")
-    return complex(extract_derivative(exp_series, base + (k, l)) / trace)
-
-
-def way1_moment_table(spec: HeraldSpec, U: np.ndarray,
-                      kmax: int, lmax: int) -> np.ndarray:
-    """All way-1 moments with k <= kmax, l <= lmax from a single series.
-
-    Entry (0, 0) of the underlying extraction normalizes the rest, so the
-    success probability never needs to be computed separately here.
-    """
-    if not (0 <= kmax <= MAX_POWER and 0 <= lmax <= MAX_POWER):
-        raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
-    exp_series = _way1_series(spec, U, kmax, lmax)
-    base = (spec.n2, spec.n3, spec.m2, spec.m3,
-            spec.n2, spec.n3, spec.m2, spec.m3)
-    trace = extract_derivative(exp_series, base + (0, 0))
-    if abs(trace) < NORM_FLOOR:
-        raise HeraldImpossible("herald has zero probability")
-    out = np.empty((kmax + 1, lmax + 1), dtype=complex)
-    for k in range(kmax + 1):
-        for l in range(lmax + 1):
-            out[k, l] = extract_derivative(exp_series, base + (k, l)) / trace
-    return out
 
 
 @dataclass(frozen=True)

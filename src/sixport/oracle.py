@@ -33,6 +33,7 @@ from .interferometer import compose
 PROB_FLOOR = 1e-30       # below this a herald counts as analytically forbidden
 TAIL_FRACTION = 1e-10    # max tolerated |amplitude|^2 fraction at the cutoff
 PHASE_EPS = 1e-10        # relative threshold for "lowest nonzero amplitude"
+RESIDUAL_TOL = 1e-8      # max probability a herald distribution may miss
 # Largest accepted |alpha|.  The closed forms go up to |alpha|^8 (psi16's
 # norm), which stays finite here; far beyond it they overflow to inf/NaN.
 ALPHA_MAX = 1e6
@@ -313,12 +314,12 @@ def expectation(state: FockVector, k: int, l: int) -> complex:
 
 
 def herald_distribution(n2: int, n3: int, alpha_mag: float, phi: float,
-                        herald_max: int, cutoff: int | None = None,
-                        residual_tol: float = 1e-8) -> dict[tuple[int, int], float]:
+                        herald_max: int,
+                        cutoff: int | None = None) -> dict[tuple[int, int], float]:
     """Probabilities of every herald outcome (m2, m3) in [0, herald_max]^2.
 
     The probabilities are summed in fixed (m2, m3) index order; if the box
-    plus the signal cutoff misses more than ``residual_tol`` of the total
+    plus the signal cutoff misses more than ``RESIDUAL_TOL`` of the total
     probability, ResidualMassTooLarge is raised.
     """
     spec = HeraldSpec(n2, n3, 0, 0, alpha_mag, phi)
@@ -341,7 +342,7 @@ def herald_distribution(n2: int, n3: int, alpha_mag: float, phi: float,
             p = float(probs[m2, m3])
             dist[(m2, m3)] = p
             total += p
-    if abs(1.0 - total) > residual_tol:
+    if abs(1.0 - total) > RESIDUAL_TOL:
         raise ResidualMassTooLarge(
             f"herald box misses {1.0 - total:.3e} of the probability")
     return dist

@@ -57,6 +57,8 @@ _ZOOM_XATOL = 1e-10
 GRID_CELLS_MAX = 2 ** 22
 # cells per row block of a large outer-product grid in ``_fields``
 _BLOCK_CELLS = 4096
+# how far a phi axis given to ``symmetry_report`` may miss its mirror points
+_AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ def _nm_minimize(index: int, alpha, phi, values, cell):
     return float(alpha[best]), float(phi[best]), float(values[best]), evaluations
 
 
-def symmetry_report(grid: ScanGrid, axis_tol: float = 1e-9) -> float:
+def symmetry_report(grid: ScanGrid) -> float:
     """Largest |value(phi) - value(2 pi - phi)| over the grid.
 
     Requires the phi axis to span [0, 2 pi] and mirror onto itself about pi.
@@ -360,9 +362,9 @@ def symmetry_report(grid: ScanGrid, axis_tol: float = 1e-9) -> float:
     """
     phi = grid.phi_axis
     two_pi = 2.0 * math.pi
-    if abs(phi[0]) > axis_tol or abs(phi[-1] - two_pi) > axis_tol:
+    if abs(phi[0]) > _AXIS_TOL or abs(phi[-1] - two_pi) > _AXIS_TOL:
         raise AxisNotSymmetric("phi axis must span [0, 2 pi]")
-    if np.max(np.abs(phi + phi[::-1] - two_pi)) > axis_tol:
+    if np.max(np.abs(phi + phi[::-1] - two_pi)) > _AXIS_TOL:
         raise AxisNotSymmetric("phi axis points must mirror about pi")
     # |a - b| = |b - a|, so the phi <= pi half holds every pair's difference
     half = (grid.values.shape[1] + 1) // 2

@@ -1,17 +1,16 @@
-"""Truncated multivariate formal power series.
+"""The paper's derivative method, used only as a cross-check.
 
-Evaluates derivative-at-zero expressions by exact polynomial coefficient
-extraction: a mixed partial derivative of an analytic generating expression,
-taken at the origin, equals the matching Taylor coefficient times factorials.
-All arithmetic here is plain truncated polynomial algebra, exact up to
-floating-point rounding.  The exponential, which every generating function
-here needs, is built as a product of one-monomial exponentials, each a short
-finite sum in the truncated ring.
+The paper writes every heralded state and moment as a mixed derivative at
+zero of a generating function: a Taylor coefficient times factorials, here
+extracted exactly from a truncated multivariate power series.  The
+exponential is a product of one-monomial exponentials, each a short finite
+sum.  Coefficients sit in a dense complex ndarray, one axis per variable
+(length = truncation order + 1); terms beyond the truncation are dropped.
 
-Coefficients are held in a dense complex ndarray with one axis per variable
-(axis length = truncation order + 1).  The orders in play are tiny, so the
-dense block stays small even with ten variables; terms whose exponents exceed
-the truncation are dropped, which is the defining property of the ring.
+On the engine sit ``general_heralded`` (the state for any photon numbers),
+``moment_component`` (one projector moment) and way 1, ``way1_moment_table``
+(moments straight from the heralded density operator).  Only ``verification``,
+the tests and ``state --method general`` use this module.
 """
 
 from __future__ import annotations
@@ -19,10 +18,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonzeroConstantTerm, OrderOverflow, VariableMismatch
+from .errors import (HeraldImpossible, NonzeroConstantTerm, OrderOverflow,
+                     SeriesOrderTooLarge, VariableMismatch)
+from .moments import MAX_POWER, NORM_FLOOR
+from .oracle import HeraldSpec
 
 # Exponent vectors may be given as tuples (positional) or mappings
 # {variable name: power}; omitted variables mean power zero.
@@ -58,28 +61,19 @@ class FormalSeries:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str], orders: Sequence[int]) -> "FormalSeries":
-        return cls(variables, orders)
-
-    @classmethod
     def from_terms(cls, variables: Sequence[str], orders: Sequence[int],
-                   terms: Iterable[tuple[Exponents, complex]],
-                   clip: bool = False) -> "FormalSeries":
+                   terms: Iterable[tuple[Exponents, complex]]) -> "FormalSeries":
         """Series with the given coefficients; duplicate exponents sum.
 
-        Exponents beyond the truncation raise OrderOverflow unless ``clip``
-        is set, in which case those terms are dropped -- the correct image
-        of the polynomial in the truncated ring.
+        Terms with exponents beyond the truncation are dropped: the image of
+        the polynomial in the truncated ring.
         """
         s = cls(variables, orders)
         for exponents, value in terms:
             try:
-                idx = s._index(exponents)
+                s.coeffs[s._index(exponents)] += value
             except OrderOverflow:
-                if clip:
-                    continue
-                raise
-            s.coeffs[idx] += value
+                pass
         return s
 
     def _index(self, exponents: Exponents) -> tuple[int, ...]:
@@ -104,16 +98,9 @@ class FormalSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _check_compatible(self, other: "FormalSeries") -> None:
+    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         if self.variables != other.variables or self.orders != other.orders:
             raise VariableMismatch("series have different variables or orders")
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        self._check_compatible(other)
-        return FormalSeries(self.variables, self.orders, self.coeffs + other.coeffs)
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        self._check_compatible(other)
         # Convolve by iterating the sparser factor's nonzero monomials; each
         # monomial is a shift-and-scale of the other block, cropped to the
         # truncation box.
@@ -128,25 +115,6 @@ class FormalSeries:
             out[dst] += b[tuple(exp)] * a[src]
         return FormalSeries(self.variables, self.orders, out)
 
-    def constant_term(self) -> complex:
-        return complex(self.coeffs[(0,) * len(self.orders)])
-
-    def nonzero_terms(self) -> list[tuple[tuple[int, ...], complex]]:
-        return [(tuple(int(i) for i in idx), complex(self.coeffs[tuple(idx)]))
-                for idx in np.argwhere(self.coeffs)]
-
-
-def series_from_polynomial(terms: Iterable[tuple[Exponents, complex]],
-                           variables: Sequence[str],
-                           orders: Sequence[int]) -> FormalSeries:
-    """Build a series from (exponents, coefficient) pairs."""
-    return FormalSeries.from_terms(variables, orders, terms)
-
-
-def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    """Truncated convolution product."""
-    return a * b
-
 
 def series_exp(p: FormalSeries) -> FormalSeries:
     """exp(p), truncated, as a product of monomial exponentials.
@@ -157,7 +125,7 @@ def series_exp(p: FormalSeries) -> FormalSeries:
     factor multiplies the running block in place: one copy of the block, then
     one shifted, scaled slice-add per power.
     """
-    if p.constant_term() != 0:
+    if p.coeffs[(0,) * len(p.orders)] != 0:
         raise NonzeroConstantTerm("series_exp requires zero constant term")
     shape = p.coeffs.shape
     out = np.zeros(shape, dtype=complex)
@@ -186,3 +154,159 @@ def extract_derivative(series: FormalSeries, index: Exponents) -> complex:
     for e in idx:
         fact *= math.factorial(e)
     return complex(series.coeffs[idx]) * fact
+
+
+# -- projector moments ---------------------------------------------------------
+
+def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> complex:
+    """<a^dagger^k a^l> on the projector a^dagger^{h_l} |seed><seed| a^{h_r}.
+
+    The coherent state |seed> is normalized; the result is the trace
+    Tr[a^dagger^k a^l a^dagger^{h_l} |seed><seed| a^{h_r}], obtained as the
+    (h_l, h_r, k, l) mixed derivative at zero of
+    exp(s nu + t mu + s t) * exp((nu + t) seed + (s + mu) conj(seed)).
+    """
+    seed = complex(seed)
+    seed_c = seed.conjugate()
+    orders = (h_l, h_r, k, l)
+    poly = FormalSeries.from_terms(("s", "t", "mu", "nu"), orders, [
+        ({"s": 1, "nu": 1}, 1.0), ({"t": 1, "mu": 1}, 1.0), ({"s": 1, "t": 1}, 1.0),
+        ({"nu": 1}, seed), ({"t": 1}, seed), ({"s": 1}, seed_c), ({"mu": 1}, seed_c)])
+    return extract_derivative(series_exp(poly), orders)
+
+
+# -- way 1: moments straight from the heralded density operator ----------------
+
+def _herald_terms(a, u, names=("s2", "s3", "t2", "t3")) -> list:
+    """Terms of the herald polynomial: t_k (a u[0, k] + s2 u[1, k] + s3 u[2, k]), k = 1, 2.
+
+    ``names`` gives (s2, s3, t2, t3).  The bra's terms are those of conj(a),
+    conj(u) under the names (f2, f3, g2, g3).
+    """
+    s2, s3, t2, t3 = names
+    return [({t2: 1}, a * u[0, 1]), ({t2: 1, s2: 1}, u[1, 1]), ({t2: 1, s3: 1}, u[2, 1]),
+            ({t3: 1}, a * u[0, 2]), ({t3: 1, s2: 1}, u[1, 2]), ({t3: 1, s3: 1}, u[2, 2])]
+
+
+def _trace_terms(a, u) -> list:
+    """Exponent terms of the trace of the heralded density operator.
+
+    The ket's herald terms, the bra's, and the signal-mode overlap of the
+    two generating amplitudes, which couples s and f.  The constant
+    |a u[0, 0]|^2 is left out.
+    """
+    ac = a.conjugate()
+    uc = u.conjugate()
+    overlap = [
+        ({"s2": 1}, ac * uc[0, 0] * u[1, 0]), ({"s3": 1}, ac * uc[0, 0] * u[2, 0]),
+        ({"f2": 1}, a * u[0, 0] * uc[1, 0]), ({"f3": 1}, a * u[0, 0] * uc[2, 0]),
+        ({"s2": 1, "f2": 1}, u[1, 0] * uc[1, 0]),
+        ({"s2": 1, "f3": 1}, u[1, 0] * uc[2, 0]),
+        ({"s3": 1, "f2": 1}, u[2, 0] * uc[1, 0]),
+        ({"s3": 1, "f3": 1}, u[2, 0] * uc[2, 0]),
+    ]
+    return _herald_terms(a, u) + _herald_terms(ac, uc, ("f2", "f3", "g2", "g3")) + overlap
+
+
+_WAY1_VARS = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3", "mu", "nu")
+
+
+def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> FormalSeries:
+    """Generating series whose mixed derivatives give way-1 moments.
+
+    The trace terms gain the generating variables mu (a^dagger) and nu (a).
+    The constant |alpha u11|^2 in the exponent is dropped; it cancels in the
+    moment ratio below.
+    """
+    a = spec.alpha
+    ac = a.conjugate()
+    u = np.asarray(U, dtype=complex)
+    uc = u.conjugate()
+    terms = _trace_terms(a, u) + [
+        ({"mu": 1}, ac * uc[0, 0]), ({"mu": 1, "f2": 1}, uc[1, 0]),
+        ({"mu": 1, "f3": 1}, uc[2, 0]),
+        ({"nu": 1}, a * u[0, 0]), ({"nu": 1, "s2": 1}, u[1, 0]),
+        ({"nu": 1, "s3": 1}, u[2, 0]),
+    ]
+    orders = (spec.n2, spec.n3, spec.m2, spec.m3) * 2 + (k, l)
+    poly = FormalSeries.from_terms(_WAY1_VARS, orders, terms)
+    return series_exp(poly)
+
+
+def way1_moment_table(spec: HeraldSpec, U: np.ndarray,
+                      kmax: int, lmax: int) -> np.ndarray:
+    """All way-1 moments <a^dagger^k a^l>, k <= kmax, l <= lmax, from one series.
+
+    Entry (0, 0) of the underlying extraction normalizes the rest, so the
+    success probability never needs to be computed separately here.
+    """
+    if not (0 <= kmax <= MAX_POWER and 0 <= lmax <= MAX_POWER):
+        raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
+    exp_series = _way1_series(spec, U, kmax, lmax)
+    base = (spec.n2, spec.n3, spec.m2, spec.m3) * 2     # the ket's and the bra's
+    trace = extract_derivative(exp_series, base + (0, 0))
+    if abs(trace) < NORM_FLOOR:
+        raise HeraldImpossible("herald has zero probability")
+    out = np.empty((kmax + 1, lmax + 1), dtype=complex)
+    for k in range(kmax + 1):
+        for l in range(lmax + 1):
+            out[k, l] = extract_derivative(exp_series, base + (k, l)) / trace
+    return out
+
+
+# -- the heralded state for any photon numbers --------------------------------
+
+@dataclass(frozen=True)
+class GeneralHeraldResult:
+    """Series-extraction result: polynomial-in-a^dagger coefficients over |seed>."""
+    coeffs: np.ndarray      # degree-d coefficient at index d
+    seed: complex
+    norm: float
+    probability: float
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+
+_ORDER_GUARD = 12
+
+
+def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
+    """Heralded state for arbitrary photon numbers by series extraction.
+
+    Works for any n2 + n3 + m2 + m3 up to the order guard; on patterns with
+    all numbers in {0, 1} it reproduces the table rows coefficient by
+    coefficient.
+    """
+    if spec.n2 + spec.n3 + spec.m2 + spec.m3 > _ORDER_GUARD:
+        raise SeriesOrderTooLarge(
+            f"total photon number exceeds the guard {_ORDER_GUARD}")
+    a = spec.alpha
+    u = np.asarray(U, dtype=complex)
+    variables = ("s2", "s3", "t2", "t3")
+    orders = (spec.n2, spec.n3, spec.m2, spec.m3)
+    ladder = FormalSeries.from_terms(variables, orders,
+                                     [({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0])])
+
+    degree = spec.n2 + spec.n3
+    coeffs = np.zeros(degree + 1, dtype=complex)
+    block = series_exp(FormalSeries.from_terms(variables, orders, _herald_terms(a, u)))
+    for d in range(degree + 1):
+        coeffs[d] = extract_derivative(block, orders) / math.factorial(d)
+        if d < degree:
+            block = block * ladder
+
+    seed = complex(u[0, 0]) * a
+    norm = 0.0
+    for dl in range(degree + 1):
+        for dr in range(degree + 1):
+            if coeffs[dl] == 0 or coeffs[dr] == 0:
+                continue
+            norm += (coeffs[dl] * coeffs[dr].conjugate()
+                     * moment_component(dl, dr, 0, 0, seed)).real
+    # the success probability: the way-1 trace with no moment variables
+    trace = extract_derivative(_way1_series(spec, u, 0, 0), orders * 2 + (0, 0))
+    fact = math.prod(math.factorial(n) for n in orders)
+    scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
+    return GeneralHeraldResult(coeffs, seed, float(norm), float(trace.real * scale))

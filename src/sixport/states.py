@@ -5,11 +5,9 @@ the interferometer is (c0 + c1 a^dagger + c2 a^dagger^2) |u11 alpha>, up to
 normalization, with coefficients that are fixed products of transfer-matrix
 entries.  This module holds that sixteen-row coefficient table; the norm,
 which is the squared length of the displaced-frame vector v of
-D(u11 alpha)|v> (``moments.displaced_frame``), and the success probability,
-the norm times the coherent filtering factor; the density-operator
-decomposition over photon-added coherent projectors; and the general
-series-extraction path that produces the same data for arbitrary photon
-numbers.
+D(u11 alpha)|v> (``moments.displaced_frame``); the success probability,
+the norm times the coherent filtering factor; and the number-basis
+amplitudes of the state.
 """
 
 from __future__ import annotations
@@ -19,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffInadequate, HeraldImpossible, OutOfTableRange, SeriesOrderTooLarge
+from .errors import CutoffInadequate, HeraldImpossible, OutOfTableRange
 from .interferometer import DerivedCoeffs, derived_coeffs
-from .moments import NORM_FLOOR, _herald_terms, _trace_terms, displaced_frame, moment_component
+from .moments import NORM_FLOOR, displaced_frame
 from .oracle import TAIL_FRACTION, FockVector, HeraldSpec, fix_global_phase
-from .series import FormalSeries, extract_derivative, series_exp, series_mul
 
 #: herald pattern (n2, n3, m2, m3) -> family index 1..16
 PATTERNS: dict[tuple[int, int, int, int], int] = {
@@ -70,14 +67,6 @@ class ClosedFormState:
     norm: float
     probability: float
     label: str
-
-
-@dataclass(frozen=True)
-class DensityComponent:
-    """One projector a^dagger^{h_l} |seed><seed| a^{h_r} with its weight."""
-    h_l: int
-    h_r: int
-    weight: complex
 
 
 def row_coefficients(index: int, U, D: DerivedCoeffs, alpha):
@@ -136,11 +125,6 @@ def normalization(c0, c1, c2, seed):
     return displaced_frame(c0, c1, c2, seed)[2]
 
 
-def success_probability(state: ClosedFormState, alpha_mag: float, u11: complex) -> float:
-    """Herald probability: norm times the coherent filtering factor."""
-    return float(state.norm * math.exp((abs(u11) ** 2 - 1.0) * alpha_mag ** 2))
-
-
 def table1_coeffs(spec: HeraldSpec, U: np.ndarray,
                   D: DerivedCoeffs | None = None) -> ClosedFormState:
     """Closed-form state for a herald pattern with n, m in {0, 1}."""
@@ -163,20 +147,6 @@ def table1_coeffs(spec: HeraldSpec, U: np.ndarray,
     norm = float(normalization(c0, c1, c2, seed))
     prob = norm * math.exp((abs(U[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2)
     return ClosedFormState(c0, c1, c2, seed, norm, prob, f"psi{index}")
-
-
-def density_components(state: ClosedFormState) -> list[DensityComponent]:
-    """Projector decomposition of the state's density operator; zero weights omitted."""
-    if state.norm < NORM_FLOOR:
-        raise HeraldImpossible(f"state {state.label} has zero norm")
-    cs = (state.c0, state.c1, state.c2)
-    comps = []
-    for h_l, c_l in enumerate(cs):
-        for h_r, c_r in enumerate(cs):
-            w = c_l * c_r.conjugate() / state.norm
-            if w != 0:
-                comps.append(DensityComponent(h_l, h_r, w))
-    return comps
 
 
 def _poly_fock_vector(coeffs, seed: complex, norm: float, cutoff: int) -> FockVector:
@@ -209,75 +179,3 @@ def state_fock_vector(state: ClosedFormState, cutoff: int) -> FockVector:
     """Truncated number-basis representation of a closed-form state."""
     return _poly_fock_vector((state.c0, state.c1, state.c2),
                              state.seed, state.norm, cutoff)
-
-
-@dataclass(frozen=True)
-class GeneralHeraldResult:
-    """Series-extraction result: polynomial-in-a^dagger coefficients over |seed>."""
-    coeffs: np.ndarray      # degree-d coefficient at index d
-    seed: complex
-    norm: float
-    probability: float
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-_ORDER_GUARD = 12
-
-
-def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
-    """Heralded state for arbitrary photon numbers by series extraction.
-
-    Works for any n2 + n3 + m2 + m3 up to the order guard; on patterns with
-    all numbers in {0, 1} it reproduces the table rows coefficient by
-    coefficient.
-    """
-    if spec.n2 + spec.n3 + spec.m2 + spec.m3 > _ORDER_GUARD:
-        raise SeriesOrderTooLarge(
-            f"total photon number exceeds the guard {_ORDER_GUARD}")
-    a = spec.alpha
-    u = np.asarray(U, dtype=complex)
-    variables = ("s2", "s3", "t2", "t3")
-    orders = (spec.n2, spec.n3, spec.m2, spec.m3)
-    herald_poly = FormalSeries.from_terms(variables, orders, _herald_terms(a, u),
-                                          clip=True)
-    prefactor = series_exp(herald_poly)
-    ladder = FormalSeries.from_terms(variables, orders, [
-        ({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0]),
-    ], clip=True)
-
-    degree = spec.n2 + spec.n3
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    block = prefactor
-    for d in range(degree + 1):
-        coeffs[d] = extract_derivative(block, orders) / math.factorial(d)
-        if d < degree:
-            block = series_mul(block, ladder)
-
-    seed = complex(u[0, 0]) * a
-    norm = 0.0
-    for dl in range(degree + 1):
-        for dr in range(degree + 1):
-            if coeffs[dl] == 0 or coeffs[dr] == 0:
-                continue
-            norm += (coeffs[dl] * coeffs[dr].conjugate()
-                     * moment_component(dl, dr, 0, 0, seed)).real
-    probability = _b4_probability(spec, u)
-    return GeneralHeraldResult(coeffs, seed, float(norm), probability)
-
-
-def _b4_probability(spec: HeraldSpec, u: np.ndarray) -> float:
-    """Success probability by the eight-variable trace extraction."""
-    variables = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3")
-    orders = (spec.n2, spec.n3, spec.m2, spec.m3,
-              spec.n2, spec.n3, spec.m2, spec.m3)
-    poly = FormalSeries.from_terms(variables, orders, _trace_terms(spec.alpha, u),
-                                   clip=True)
-    raw = extract_derivative(series_exp(poly), orders)
-    fact = (math.factorial(spec.n2) * math.factorial(spec.n3)
-            * math.factorial(spec.m2) * math.factorial(spec.m3))
-    scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
-    return float(raw.real * scale)
-

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import VerificationFailed, WorkTooLarge
 from .interferometer import compose
-from .moments import moment, way1_moment_table
+from .moments import moment
 from .oracle import (
     HeraldSpec,
     default_cutoff,
@@ -24,7 +24,8 @@ from .oracle import (
     herald_distribution,
     herald_state,
 )
-from .states import PATTERNS, general_heralded, state_fock_vector, table1_coeffs
+from .series import general_heralded, way1_moment_table
+from .states import PATTERNS, state_fock_vector, table1_coeffs
 
 DEFAULT_TOLERANCES = {
     "unitarity": 1e-12,

@@ -87,6 +87,18 @@ def test_moments_closed_vs_oracle(capsys):
     assert closed[1] == pytest.approx(oracle[1], abs=1e-9)
 
 
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+@pytest.mark.parametrize("k, l", [(50, 0), (0, 9), (-1, 0)])
+def test_moments_power_bound_for_both_methods(capsys, method, k, l):
+    code, out, err = run_cli(capsys, "moments", "--n2", "1", "--n3", "1", "--m2", "1",
+                             "--m3", "1", "--alpha", "1", "--phi", "1", "--k", str(k),
+                             "--l", str(l), "--method", method)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": "--k and --l must be in 0..8"}
+
+
 def test_quadratures_output(capsys):
     code, out, _ = run_cli(capsys, "quadratures", "--n2", "1", "--n3", "0",
                            "--m2", "0", "--m3", "0", "--alpha", "0", "--phi", "2")
@@ -208,6 +220,27 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--config", str(config), "state", "--n3", "1")
     assert code == 0
     assert json.loads(out)["label"] == "psi7"
+
+
+_POINT = ["--n2", "1", "--n3", "1", "--m2", "1", "--m3", "1", "--alpha", "2", "--phi", "2"]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"alpha": "abc"}, ["quadratures", "--n2", "1", "--n3", "0", "--m2", "0", "--m3", "0",
+                        "--phi", "2"]),
+    ({"res": "x"}, ["scan", "--family", "psi16", "--quantity", "prob"]),
+    ({"samples": 2.5}, ["verify"]),
+    ({"family": 7}, ["optimize"]),
+    ({"k": "2"}, ["moments", *_POINT, "--l", "1"]),
+    ({"seed": True}, ["verify", "--samples", "1"]),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, config, argv):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_env_cutoff_override(capsys, monkeypatch):

@@ -8,11 +8,14 @@ from sixport import (
     ValidationError,
     compose,
     derived_coeffs,
-    is_unitary,
     phase_matrix,
     tritter1_matrix,
     tritter2_matrix,
 )
+
+
+def assert_unitary(U, tol=1e-12):
+    assert np.max(np.abs(U @ U.conj().T - np.eye(3))) <= tol
 
 
 def test_tritter1_entries():
@@ -27,8 +30,8 @@ def test_tritter2_entries():
 
 
 def test_tritters_unitary():
-    assert is_unitary(tritter1_matrix())
-    assert is_unitary(tritter2_matrix())
+    assert_unitary(tritter1_matrix())
+    assert_unitary(tritter2_matrix())
 
 
 def test_tritter2_is_tritter1_with_rows_swapped():
@@ -80,7 +83,7 @@ def test_compose_mismatch_detector_fires():
 def test_unitarity_on_sampled_phases():
     rng = np.random.default_rng(7)
     for phi in rng.uniform(0.0, 2 * np.pi, 1000):
-        assert is_unitary(compose(phi), tol=1e-12)
+        assert_unitary(compose(phi), tol=1e-12)
 
 
 def test_entry_symmetry_exact():

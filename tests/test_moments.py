@@ -10,7 +10,6 @@ from sixport import (
     herald_state,
     moment,
     moment_component,
-    moment_way1,
     quadratures,
     squeeze_db,
     table1_coeffs,
@@ -107,7 +106,7 @@ def test_moment_way1_single_query():
     spec = HeraldSpec(1, 0, 1, 0, alpha_mag=1.5, phi=2.4)
     U = compose(2.4)
     st = table1_coeffs(spec, U)
-    assert moment_way1(spec, U, 2, 1) == pytest.approx(moment(st, 2, 1), abs=1e-12)
+    assert way1_moment_table(spec, U, 2, 1)[2, 1] == pytest.approx(moment(st, 2, 1), abs=1e-12)
 
 
 def test_both_ways_match_oracle():
@@ -118,7 +117,7 @@ def test_both_ways_match_oracle():
     for k, l in [(0, 1), (1, 1), (0, 2), (2, 2)]:
         reference = expectation(vec, k, l)
         assert moment(st, k, l) == pytest.approx(reference, abs=1e-9)
-        assert moment_way1(spec, U, k, l) == pytest.approx(reference, abs=1e-9)
+        assert way1_moment_table(spec, U, k, l)[k, l] == pytest.approx(reference, abs=1e-9)
 
 
 # -- quadratures --------------------------------------------------------------------

@@ -11,14 +11,12 @@ from sixport import (
     SeriesOrderTooLarge,
     compose,
     default_cutoff,
-    density_components,
     derived_coeffs,
     general_heralded,
     herald_state,
     normalization,
     pattern_for_label,
     state_fock_vector,
-    success_probability,
     table1_coeffs,
 )
 from sixport.states import _poly_fock_vector
@@ -114,12 +112,6 @@ def test_probability_psi16_matches_oracle():
     assert st.probability == pytest.approx(prob, abs=1e-10)
 
 
-def test_success_probability_helper():
-    U = compose(2.0)
-    st = table1_coeffs(spec_for(16, 2.0, 2.0), U)
-    assert success_probability(st, 2.0, U[0, 0]) == pytest.approx(st.probability)
-
-
 # -- fock vectors ----------------------------------------------------------------
 
 def test_state_vector_coherent():
@@ -153,33 +145,6 @@ def test_state_vector_forbidden_herald():
     st = table1_coeffs(spec_for(2, 2.0, 0.0), compose(0.0))
     with pytest.raises(HeraldImpossible):
         state_fock_vector(st, 40)
-
-
-# -- density components ------------------------------------------------------------
-
-def test_density_components_psi1():
-    st = table1_coeffs(spec_for(1, 2.0, 1.0), compose(1.0))
-    comps = density_components(st)
-    assert len(comps) == 1
-    assert (comps[0].h_l, comps[0].h_r) == (0, 0)
-    assert comps[0].weight == pytest.approx(1.0)
-
-
-def test_density_components_psi5():
-    st = table1_coeffs(spec_for(5, 1.0, 2.0), compose(2.0))
-    comps = density_components(st)
-    assert len(comps) == 1
-    assert (comps[0].h_l, comps[0].h_r) == (1, 1)
-    assert comps[0].weight == pytest.approx(abs(st.c1) ** 2 / st.norm)
-
-
-def test_density_components_psi8_hermitian():
-    st = table1_coeffs(spec_for(8, 2.0, 2.0), compose(2.0))
-    comps = density_components(st)
-    assert sorted((c.h_l, c.h_r) for c in comps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    by_key = {(c.h_l, c.h_r): c.weight for c in comps}
-    for (hl, hr), w in by_key.items():
-        assert w == pytest.approx(np.conjugate(by_key[(hr, hl)]))
 
 
 # -- general path -------------------------------------------------------------------
