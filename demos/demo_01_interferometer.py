@@ -6,7 +6,8 @@ simple functions of the shift phase phi.
 """
 import numpy as np
 
-from sixport import compose, derived_coeffs, phase_matrix, tritter1_matrix, tritter2_matrix
+from sixport import (HeraldSpec, compose, pattern_for_label, phase_matrix, table1_coeffs,
+                     tritter1_matrix, tritter2_matrix)
 
 
 def show(name, M):
@@ -29,8 +30,13 @@ for phi in (0.0, np.pi / 2, np.pi):
 print("\nAt phi = 0 the device is transparent (identity matrix).")
 print("At phi = pi the transmission drops to 1/3 and cross-coupling peaks at -2/3.")
 
+# A coefficient sums one product of entries per partial matching of the
+# occupied input ports to the counted output ports; at |alpha| = 1 the sums
+# with two or more terms show up bare in these coefficients.
 U = compose(2.0)
-D = derived_coeffs(U)
-print("\nEntry combinations used by the heralded-state coefficient table (phi = 2):")
-for name in ("tau1", "tau2", "tau3", "tau4", "tau5", "kappa"):
-    print(f"  {name} = {getattr(D, name):.6f}")
+print("\nEntry combinations in the heralded-state coefficients (phi = 2):")
+for name, family, level in (("tau1", "psi12", "c0"), ("tau2", "psi13", "c0"),
+                            ("tau3", "psi14", "c1"), ("tau4", "psi15", "c1"),
+                            ("tau5", "psi16", "c0"), ("kappa", "psi16", "c1")):
+    state = table1_coeffs(HeraldSpec(*pattern_for_label(family), alpha_mag=1.0, phi=2.0), U)
+    print(f"  {name} = {getattr(state, level):.6f}")

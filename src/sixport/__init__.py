@@ -31,9 +31,7 @@ from .errors import (
     WorkTooLarge,
 )
 from .interferometer import (
-    DerivedCoeffs,
     compose,
-    derived_coeffs,
     phase_matrix,
     tritter1_matrix,
     tritter2_matrix,

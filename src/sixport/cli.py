@@ -355,6 +355,8 @@ def _cmd_optimize(args) -> str:
 def _cmd_verify(args) -> str:
     if args.samples < 1:
         raise ValidationError("--samples must be at least 1")
+    if args.seed < 0:
+        raise ValidationError("--seed must be a non-negative integer")
     report = run_verification(args.samples, args.seed)
     return _to_json(report)
 
@@ -422,7 +424,11 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         _fail(type(exc).__name__, str(exc))
         return 3
-    _emit(payload, getattr(args, "output", None))
+    try:
+        _emit(payload, args.output)
+    except OSError as exc:
+        _fail("OutputError", str(exc))
+        return 2
     return 0
 
 

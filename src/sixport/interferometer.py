@@ -8,7 +8,6 @@ is the canonical output; the explicit product is kept as a self-check.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,33 +78,4 @@ def compose(phi: float, check_tol: float = 1e-12) -> np.ndarray:
             f"product deviates from closed form by {dev:.3e} at phi={phi!r}"
         )
     return closed
-
-
-@dataclass(frozen=True)
-class DerivedCoeffs:
-    """Bilinear and trilinear entry combinations used by the state table."""
-    tau1: complex  # u12 u23 + u13 u22
-    tau2: complex  # u12 u33 + u13 u32
-    tau3: complex  # u21 u32 + u22 u31
-    tau4: complex  # u21 u33 + u23 u31
-    tau5: complex  # u23 u32 + u22 u33
-    kappa: complex  # u12 u23 u31 + u13 u22 u31 + u13 u21 u32 + u12 u21 u33
-
-
-def derived_coeffs(U: np.ndarray) -> DerivedCoeffs:
-    """Compute tau_1..tau_5 and kappa from the matrix entries."""
-    u = U
-    return DerivedCoeffs(
-        tau1=u[0, 1] * u[1, 2] + u[0, 2] * u[1, 1],
-        tau2=u[0, 1] * u[2, 2] + u[0, 2] * u[2, 1],
-        tau3=u[1, 0] * u[2, 1] + u[1, 1] * u[2, 0],
-        tau4=u[1, 0] * u[2, 2] + u[1, 2] * u[2, 0],
-        tau5=u[1, 2] * u[2, 1] + u[1, 1] * u[2, 2],
-        kappa=(
-            u[0, 1] * u[1, 2] * u[2, 0]
-            + u[0, 2] * u[1, 1] * u[2, 0]
-            + u[0, 2] * u[1, 0] * u[2, 1]
-            + u[0, 1] * u[1, 0] * u[2, 2]
-        ),
-    )
 

@@ -153,7 +153,8 @@ def squeeze_db(variance: float) -> float:
     """Squeezing in dB relative to the vacuum variance 0.5; positive means squeezed."""
     if not variance > 0:
         raise NonpositiveVariance(f"variance must be positive, got {variance!r}")
-    return -10.0 * math.log10(variance / 0.5)
+    # + 0.0 turns the -0.0 of the vacuum variance into 0.0 and changes no other value
+    return -10.0 * math.log10(variance / 0.5) + 0.0
 
 
 def expectation_quadratures(state: FockVector) -> tuple[float, float]:

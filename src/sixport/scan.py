@@ -18,10 +18,10 @@ No grid work is wasted:
 * a large outer-product grid is evaluated a block of whole rows at a time,
   so the temporaries stay cache-sized and are reused rather than allocated
   (and page-faulted) at full grid size;
-* a level that is identically zero for the family is never built or
-  multiplied, a level that does not involve |alpha| stays one row of phi
-  values, each level is squared once, and the forbidden-cell guard runs
-  only on blocks that hold a forbidden cell.
+* a level that is identically zero for the family is never built, the
+  matrix-entry factor of the others is built once per call, a level without
+  |alpha| stays one row of phi values, each level is squared once, and the
+  forbidden-cell guard runs only on blocks that hold a forbidden cell.
 
 Grids are bounded: one with more than ``GRID_CELLS_MAX`` cells is refused
 with ``WorkTooLarge`` before anything is allocated.
@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisNotSymmetric, QuantityMismatch, WorkTooLarge
-from .interferometer import closed_form_matrix, derived_coeffs
+from .interferometer import closed_form_matrix
 from .moments import (NORM_FLOOR, displaced_frame, frame_moments, quadrature_variance,
                       squeeze_db)
 from .oracle import ALPHA_MAX
-from .states import PATTERNS, pattern_for_label, row_coefficients
+from .states import pattern_for_label, row_coefficients, times_alpha
 
 QUANTITIES = ("probability", "var_x", "var_p")
 
@@ -102,13 +102,9 @@ class OptResult:
     evaluations: int
 
 
-def _family_index(family) -> int:
-    if isinstance(family, str):
-        return PATTERNS[pattern_for_label(family)]
-    index = int(family)
-    if index not in range(1, 17):
-        raise ValueError(f"family index {index} outside 1..16")
-    return index
+def _family_pattern(family) -> tuple[int, int, int, int]:
+    """Herald pattern of a family given by label (``psi7``) or index (7)."""
+    return pattern_for_label(family if isinstance(family, str) else f"psi{int(family)}")
 
 
 def _mirrored_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -126,13 +122,14 @@ def _check_grid_cells(what: str, rows: int, cols: int) -> None:
                            f"over GRID_CELLS_MAX = {GRID_CELLS_MAX}")
 
 
-def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
+def _fields(pattern, alpha_axis: np.ndarray, phi_axis: np.ndarray,
             quantities=QUANTITIES):
     """Grids of the named ``quantities`` over (|alpha|, phi), in that order.
 
-    Each cell is the family's state as D(beta)|v> with beta = u11 alpha
-    (``moments.displaced_frame``): the probability is |v|^2 times the
-    filtering factor, and the variances come from the three frame moments.
+    Each cell is the state heralded by ``pattern`` as D(beta)|v> with
+    beta = u11 alpha (``moments.displaced_frame``): the probability is |v|^2
+    times the filtering factor, and the variances come from the three frame
+    moments.  Each level's factor of U entries is built once per call.
     Only the quantities asked for are computed, and each value is
     bit-identical whatever else is asked for.
 
@@ -153,26 +150,25 @@ def _fields(index: int, alpha_axis: np.ndarray, phi_axis: np.ndarray,
         alpha = alpha.reshape(-1, 1)
         phi = phi.reshape(1, -1)
     U = closed_form_matrix(np.exp(-1j * phi))
-    D = derived_coeffs(U)
+    levels = row_coefficients(pattern, U)
     if not (outer and alpha.size * phi.size > _BLOCK_CELLS):
-        return _cell_fields(index, U, D, alpha, quantities)
+        return _cell_fields(levels, U[0, 0], alpha, quantities)
     out = tuple(np.empty((alpha.size, phi.size)) for _ in quantities)
     rows = max(1, _BLOCK_CELLS // phi.size)
     for r in range(0, alpha.size, rows):
-        block = _cell_fields(index, U, D, alpha[r:r + rows], quantities)
+        block = _cell_fields(levels, U[0, 0], alpha[r:r + rows], quantities)
         for grid, values in zip(out, block):
             grid[r:r + rows] = values
     return out
 
 
-def _cell_fields(index: int, U, D, alpha, quantities):
-    """``_fields`` on matrix entries ``U`` and ``D`` already built from phi.
+def _cell_fields(levels, diag, alpha, quantities):
+    """``_fields`` on ``row_coefficients`` and the entry u11 already built from phi.
 
-    Levels that are identically zero for the family are skipped, and the
-    forbidden-cell guard runs only when some cell is forbidden.
+    A block only scales each level by its power of alpha; zero levels are
+    skipped, and the forbidden-cell guard runs only when a cell is forbidden.
     """
-    diag = U[0, 0]
-    v, squares, norm = displaced_frame(*row_coefficients(index, U, D, alpha), diag * alpha)
+    v, squares, norm = displaced_frame(*times_alpha(levels, alpha), diag * alpha)
 
     fields = {}
     if "probability" in quantities:
@@ -199,8 +195,8 @@ def _cell_fields(index: int, U, D, alpha, quantities):
 
 def evaluate_point(family, alpha_mag: float, phi: float):
     """(probability, var_x, var_p) at a single parameter point."""
-    index = _family_index(family)
-    prob, var_x, var_p = _fields(index, np.array([alpha_mag]), np.array([phi]))
+    pattern = _family_pattern(family)
+    prob, var_x, var_p = _fields(pattern, np.array([alpha_mag]), np.array([phi]))
     return float(prob[0, 0]), float(var_x[0, 0]), float(var_p[0, 0])
 
 
@@ -222,7 +218,7 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
         raise ValueError("alpha range must start at |alpha| >= 0")
     if max(alpha_range) > ALPHA_MAX:
         raise ValueError(f"alpha range must end at |alpha| <= ALPHA_MAX = {ALPHA_MAX:g}")
-    index = _family_index(family)
+    pattern = _family_pattern(family)
     if isinstance(resolution, int):
         res_a = res_p = resolution
     else:
@@ -235,9 +231,9 @@ def scan(family, quantity: str, alpha_range=ALPHA_BOX, phi_range=PHI_BOX,
     # a full circle mirrors onto itself about pi: phi pairs with 2 pi - phi
     full_circle = np.max(np.abs(phi_axis + phi_axis[::-1] - 2.0 * math.pi)) < 1e-9
     if not full_circle:
-        (values,) = _fields(index, alpha_axis, phi_axis, (quantity,))
+        (values,) = _fields(pattern, alpha_axis, phi_axis, (quantity,))
         return ScanGrid(alpha_axis, phi_axis, values, quantity)
-    (low,) = _fields(index, alpha_axis, phi_axis[:(res_p + 1) // 2], (quantity,))
+    (low,) = _fields(pattern, alpha_axis, phi_axis[:(res_p + 1) // 2], (quantity,))
     values = np.concatenate((low, low[:, :res_p // 2][:, ::-1]), axis=1)
     return ScanGrid(alpha_axis, phi_axis, values, quantity)
 
@@ -265,10 +261,10 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
     point its probability alone.  ``evaluations`` counts the points both
     stages evaluated.
     """
-    index = _family_index(family)
-    if index <= 4:
-        # coherent family: variance is 0.5 identically
-        (prob,) = _fields(index, np.array([0.0]), np.array([0.0]),
+    pattern = _family_pattern(family)
+    if pattern[0] == pattern[1] == 0:
+        # n2 = n3 = 0: no ancilla photon, a coherent state of variance 0.5
+        (prob,) = _fields(pattern, np.array([0.0]), np.array([0.0]),
                           quantities=("probability",))
         return OptResult(0.0, 0.0, 0.5, 0.0, float(prob[0, 0]), 0)
     if coarse_resolution < 2:
@@ -279,16 +275,16 @@ def minimize_variance(family, coarse_resolution: int = 400) -> OptResult:
     _check_grid_cells("coarse grid", n, half)
     alpha_axis = np.linspace(*ALPHA_BOX, n)
     phi_axis = _mirrored_axis(*PHI_BOX, n)
-    (var_x,) = _fields(index, alpha_axis, phi_axis[:half], ("var_x",))
+    (var_x,) = _fields(pattern, alpha_axis, phi_axis[:half], ("var_x",))
     order = _smallest_cells(var_x, _ZOOM_INCUMBENTS)
     ia, ip = np.unravel_index(order, var_x.shape)
     incumbents = var_x.reshape(-1)[order]
     cell = ((ALPHA_BOX[1] - ALPHA_BOX[0]) / (n - 1),
             (PHI_BOX[1] - PHI_BOX[0]) / (n - 1))
     a_opt, p_opt, best, zoomed = _nm_minimize(
-        index, alpha_axis[ia], phi_axis[ip],
+        pattern, alpha_axis[ia], phi_axis[ip],
         np.where(np.isnan(incumbents), np.inf, incumbents), cell)
-    (prob,) = _fields(index, np.array([a_opt]), np.array([p_opt]),
+    (prob,) = _fields(pattern, np.array([a_opt]), np.array([p_opt]),
                       quantities=("probability",))
     return OptResult(
         alpha_opt=a_opt,
@@ -316,7 +312,7 @@ def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
 
 
 # the benchmark's tracer looks the refinement up by this name (scan.refine_s)
-def _nm_minimize(index: int, alpha, phi, values, cell):
+def _nm_minimize(pattern, alpha, phi, values, cell):
     """Grid zoom around incumbents (alpha[k], phi[k]) with var_x ``values``.
 
     Each level lays a 17x17 box of half-width ``cell`` (per axis) around every
@@ -336,7 +332,7 @@ def _nm_minimize(index: int, alpha, phi, values, cell):
     while max(h_alpha, h_phi) > _ZOOM_XATOL:
         box_a = np.clip(alpha[:, None] + h_alpha * steps, *ALPHA_BOX)
         box_p = np.clip(phi[:, None] + h_phi * steps, *PHI_BOX)
-        (var_x,) = _fields(index, box_a[:, :, None], box_p[:, None, :],
+        (var_x,) = _fields(pattern, box_a[:, :, None], box_p[:, None, :],
                            quantities=("var_x",))
         evaluations += var_x.size
         filled = np.where(np.isnan(var_x), np.inf, var_x).reshape(len(k), -1)

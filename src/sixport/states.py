@@ -2,8 +2,9 @@
 
 For ancilla photon numbers at the single-photon level the heralded output of
 the interferometer is (c0 + c1 a^dagger + c2 a^dagger^2) |u11 alpha>, up to
-normalization, with coefficients that are fixed products of transfer-matrix
-entries.  This module holds that sixteen-row coefficient table; the norm,
+normalization, with coefficients that are sums of products of transfer-matrix
+entries, one product per partial matching of the occupied input ports to the
+counted output ports.  This module holds that rule; the norm,
 which is the squared length of the displaced-frame vector v of
 D(u11 alpha)|v> (``moments.displaced_frame``); the success probability,
 the norm times the coherent filtering factor; and the number-basis
@@ -13,12 +14,14 @@ amplitudes of the state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import CutoffInadequate, HeraldImpossible, OutOfTableRange
-from .interferometer import DerivedCoeffs, derived_coeffs
 from .moments import NORM_FLOOR, displaced_frame
 from .oracle import TAIL_FRACTION, FockVector, HeraldSpec, fix_global_phase
 
@@ -69,52 +72,66 @@ class ClosedFormState:
     label: str
 
 
-def row_coefficients(index: int, U, D: DerivedCoeffs, alpha):
-    """Coefficient tuple (c0, c1, c2) of family ``index``.
+def _level_plan(pattern):
+    """Terms of levels 0..2 of ``pattern``, one per partial matching.
 
-    A level that is identically zero for the family is None.  ``U`` may hold
-    scalar entries or arrays broadcast over a parameter grid; the
-    expressions below only index and multiply, so both work alike.  A level
-    that does not involve ``alpha`` keeps the shape of the entries it is
-    built from.
+    The state is the coefficient of s2^n2 s3^n3 t2^m2 t3^m3 in
+    exp(sum_k t_k (alpha u1k + s2 u2k + s3 u3k) + a^dagger (s2 u21 + s3 u31)).
+    With every number in {0, 1}, each partial matching of the occupied
+    sources (rows 2, 3) to the counted sinks (columns 2, 3) gives one term: a
+    matched pair (r, k) gives u_rk, an unmatched sink k alpha u1k and an
+    unmatched source r a^dagger u_r1.  Level d holds the terms with d
+    unmatched sources and carries alpha^k, k = m - n + d.  Per level: None if
+    no matching reaches it, else (k, terms), a term being the indices of its
+    U entries in row order.  Matchings are listed by size, then
+    lexicographically, which fixes the order of every sum.
     """
-    u12, u13 = U[0, 1], U[0, 2]
-    u21, u31 = U[1, 0], U[2, 0]
-    u22, u23 = U[1, 1], U[1, 2]
-    u32, u33 = U[2, 1], U[2, 2]
-    if index == 1:
-        return 1.0, None, None
-    if index == 2:
-        return u12 * alpha, None, None
-    if index == 3:
-        return u13 * alpha, None, None
-    if index == 4:
-        return u12 * u13 * alpha ** 2, None, None
-    if index == 5:
-        return None, u21, None
-    if index == 6:
-        return None, u31, None
-    if index == 7:
-        return None, None, u21 * u31
-    if index == 8:
-        return u22, u12 * u21 * alpha, None
-    if index == 9:
-        return u33, u13 * u31 * alpha, None
-    if index == 10:
-        return u32, u12 * u31 * alpha, None
-    if index == 11:
-        return u23, u13 * u21 * alpha, None
-    if index == 12:
-        return D.tau1 * alpha, u12 * u13 * u21 * alpha ** 2, None
-    if index == 13:
-        return D.tau2 * alpha, u12 * u13 * u31 * alpha ** 2, None
-    if index == 14:
-        return None, D.tau3, u12 * u21 * u31 * alpha
-    if index == 15:
-        return None, D.tau4, u13 * u21 * u31 * alpha
-    if index == 16:
-        return D.tau5, D.kappa * alpha, u12 * u13 * u21 * u31 * alpha ** 2
-    raise OutOfTableRange(f"family index {index} outside 1..16")
+    n2, n3, m2, m3 = pattern
+    sources = [r for r, n in ((1, n2), (2, n3)) if n]
+    sinks = [k for k, m in ((1, m2), (2, m3)) if m]
+    levels = [None, None, None]
+    for size in range(min(len(sources), len(sinks)) + 1):
+        terms = []
+        for rows in combinations(sources, size):
+            for cols in permutations(sinks, size):
+                term = [*zip(rows, cols), *((0, k) for k in sinks if k not in cols),
+                        *((r, 0) for r in sources if r not in rows)]
+                terms.append(tuple(sorted(term)))
+        levels[len(sources) - size] = (len(sinks) - size, tuple(terms))
+    return tuple(levels)
+
+
+_PLANS = {pattern: _level_plan(pattern) for pattern in PATTERNS}
+
+
+def row_coefficients(pattern, U):
+    """Per level of the family heralded by ``pattern``: None or (k, factor).
+
+    A level is None where it is identically zero; else its coefficient is
+    ``factor`` times alpha^k, ``factor`` being the sum of its terms' products
+    of U entries.  ``U`` may hold scalar entries or arrays broadcast over a
+    parameter grid.
+    """
+    plan = _PLANS.get(tuple(pattern))
+    if plan is None:
+        raise OutOfTableRange(
+            f"pattern {pattern} has photon numbers above 1; use general_heralded")
+
+    def factor(terms):  # the terms' products of U entries, summed in order
+        products = [reduce(operator.mul, [U[e] for e in t]) if t else 1.0 for t in terms]
+        return reduce(operator.add, products)
+    return tuple(None if level is None else (level[0], factor(level[1])) for level in plan)
+
+
+def times_alpha(levels, alpha):
+    """Coefficients (c0, c1, c2) from ``row_coefficients``, a zero level None.
+
+    alpha^1 is ``alpha`` itself: Python's complex ``** 1`` can flip the sign
+    of a zero imaginary part.
+    """
+    return tuple(None if level is None else level[1] if level[0] == 0 else
+                 level[1] * alpha if level[0] == 1 else level[1] * alpha ** level[0]
+                 for level in levels)
 
 
 def normalization(c0, c1, c2, seed):
@@ -125,28 +142,20 @@ def normalization(c0, c1, c2, seed):
     return displaced_frame(c0, c1, c2, seed)[2]
 
 
-def table1_coeffs(spec: HeraldSpec, U: np.ndarray,
-                  D: DerivedCoeffs | None = None) -> ClosedFormState:
+def table1_coeffs(spec: HeraldSpec, U: np.ndarray) -> ClosedFormState:
     """Closed-form state for a herald pattern with n, m in {0, 1}."""
     pattern = (spec.n2, spec.n3, spec.m2, spec.m3)
-    if any(v > 1 for v in pattern):
-        raise OutOfTableRange(
-            f"pattern {pattern} has photon numbers above 1; use general_heralded")
-    if D is None:
-        D = derived_coeffs(U)
-    index = PATTERNS[pattern]
-    # Level k carries alpha^(k + m2 + m3 - n2 - n3), photon number being
-    # conserved, so at most one level has no alpha factor.  That level and
-    # the zero levels get + 0.0 * alpha, which fixes the sign of every zero
-    # part of the coefficients (they are printed).
+    levels = row_coefficients(pattern, U)
+    # The level without an alpha factor (k == 0) and the zero levels get
+    # + 0.0 * alpha, which fixes the sign of every zero part of the
+    # coefficients (they are printed).
     zero = 0.0 * spec.alpha
-    free = spec.n2 + spec.n3 - spec.m2 - spec.m3
-    c0, c1, c2 = (complex(zero if c is None else c + zero if k == free else c)
-                  for k, c in enumerate(row_coefficients(index, U, D, spec.alpha)))
+    c0, c1, c2 = (complex(zero if level is None else c + zero if level[0] == 0 else c)
+                  for level, c in zip(levels, times_alpha(levels, spec.alpha)))
     seed = complex(U[0, 0]) * spec.alpha
     norm = float(normalization(c0, c1, c2, seed))
     prob = norm * math.exp((abs(U[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2)
-    return ClosedFormState(c0, c1, c2, seed, norm, prob, f"psi{index}")
+    return ClosedFormState(c0, c1, c2, seed, norm, prob, f"psi{PATTERNS[pattern]}")
 
 
 def _poly_fock_vector(coeffs, seed: complex, norm: float, cutoff: int) -> FockVector:

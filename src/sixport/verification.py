@@ -46,11 +46,13 @@ def run_verification(samples: int, seed: int,
                      tolerances: dict[str, float] | None = None) -> dict:
     """Run all cross-path checks on ``samples`` seeded parameter points.
 
-    More than ``SAMPLES_MAX`` samples raise ``WorkTooLarge`` before any is
-    drawn.
+    More than ``SAMPLES_MAX`` samples raise ``WorkTooLarge``, and a negative
+    ``seed`` raises ``ValueError``, before any is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if samples > SAMPLES_MAX:
         raise WorkTooLarge(f"{samples} samples, over SAMPLES_MAX = {SAMPLES_MAX}")
     tols = dict(DEFAULT_TOLERANCES)

@@ -192,6 +192,26 @@ def test_verify_zero_samples_is_validation_error(capsys):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("config, argv", [
+    ({}, ["verify", "--samples", "1", "--seed", "-1"]),
+    ({"seed": -5}, ["verify", "--samples", "1"]),
+])
+def test_verify_negative_seed_is_validation_error(tmp_path, capsys, config, argv):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": "--seed must be a non-negative integer"}
+
+
+def test_run_verification_rejects_negative_seed():
+    # its own message, raised before numpy's seeding sees the value
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        run_verification(1, -1)
+
+
 def test_verify_tampered_tolerance_detector():
     with pytest.raises(VerificationFailed):
         run_verification(1, 0, tolerances={"unitarity": 1e-30})
@@ -262,6 +282,16 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     entries = json.loads(target.read_text())
     assert len(entries) == 9
+
+
+@pytest.mark.parametrize("where", ["missing/result.json", "."])
+def test_unwritable_output_is_error_payload(tmp_path, capsys, where):
+    # a path in a missing directory, and a path that is a directory
+    code, out, err = run_cli(capsys, "--output", str(tmp_path / where), "matrix", "--phi", "0")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "OutputError" and payload["message"]
 
 
 def test_byte_identical_repeat_runs(capsys):

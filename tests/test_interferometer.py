@@ -7,7 +7,6 @@ from sixport import (
     ClosedFormMismatch,
     ValidationError,
     compose,
-    derived_coeffs,
     phase_matrix,
     tritter1_matrix,
     tritter2_matrix,
@@ -98,30 +97,6 @@ def test_entry_symmetry_exact():
 def test_periodicity():
     for phi in (0.1, 2.6, 5.9):
         np.testing.assert_allclose(compose(phi), compose(phi + 2 * np.pi), atol=1e-12)
-
-
-def test_derived_coeffs_at_identity():
-    U = compose(0.0)
-    D = derived_coeffs(U)
-    assert D.tau1 == 0
-    assert D.tau5 == pytest.approx(1.0)
-
-
-def test_derived_coeffs_term_by_term_at_pi():
-    u = compose(np.pi)
-    D = derived_coeffs(u)
-    kappa = (u[0, 1] * u[1, 2] * u[2, 0] + u[0, 2] * u[1, 1] * u[2, 0]
-             + u[0, 2] * u[1, 0] * u[2, 1] + u[0, 1] * u[1, 0] * u[2, 2])
-    assert abs(D.kappa - kappa) < 1e-14
-    taus = [
-        u[0, 1] * u[1, 2] + u[0, 2] * u[1, 1],
-        u[0, 1] * u[2, 2] + u[0, 2] * u[2, 1],
-        u[1, 0] * u[2, 1] + u[1, 1] * u[2, 0],
-        u[1, 0] * u[2, 2] + u[1, 2] * u[2, 0],
-        u[1, 2] * u[2, 1] + u[1, 1] * u[2, 2],
-    ]
-    for got, want in zip((D.tau1, D.tau2, D.tau3, D.tau4, D.tau5), taus):
-        assert abs(got - want) < 1e-14
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])

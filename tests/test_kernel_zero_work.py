@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from sixport import HeraldSpec, ScanGrid, compose, symmetry_report, table1_coeffs
-from sixport.interferometer import closed_form_matrix, derived_coeffs
+from sixport.interferometer import closed_form_matrix
 from sixport.moments import NORM_FLOOR, quadrature_variance
 from sixport.scan import _fields, _mirrored_axis
 from sixport.states import LABELS
@@ -30,11 +30,17 @@ SQRT2 = math.sqrt(2.0)
 
 # -- dense reference kernel ------------------------------------------------------
 
-def dense_rows(index, U, D, alpha):
+def dense_rows(index, U, alpha):
     u12, u13 = U[0, 1], U[0, 2]
     u21, u31 = U[1, 0], U[2, 0]
     u22, u23 = U[1, 1], U[1, 2]
     u32, u33 = U[2, 1], U[2, 2]
+    tau1 = u12 * u23 + u13 * u22
+    tau2 = u12 * u33 + u13 * u32
+    tau3 = u21 * u32 + u22 * u31
+    tau4 = u21 * u33 + u23 * u31
+    tau5 = u23 * u32 + u22 * u33
+    kappa = u12 * u23 * u31 + u13 * u22 * u31 + u13 * u21 * u32 + u12 * u21 * u33
     zero = 0.0 * alpha
     return {
         1: (1.0 + zero, zero, zero),
@@ -48,11 +54,11 @@ def dense_rows(index, U, D, alpha):
         9: (u33 + zero, u13 * u31 * alpha, zero),
         10: (u32 + zero, u12 * u31 * alpha, zero),
         11: (u23 + zero, u13 * u21 * alpha, zero),
-        12: (D.tau1 * alpha, u12 * u13 * u21 * alpha ** 2, zero),
-        13: (D.tau2 * alpha, u12 * u13 * u31 * alpha ** 2, zero),
-        14: (zero, D.tau3 + zero, u12 * u21 * u31 * alpha),
-        15: (zero, D.tau4 + zero, u13 * u21 * u31 * alpha),
-        16: (D.tau5 + zero, D.kappa * alpha, u12 * u13 * u21 * u31 * alpha ** 2),
+        12: (tau1 * alpha, u12 * u13 * u21 * alpha ** 2, zero),
+        13: (tau2 * alpha, u12 * u13 * u31 * alpha ** 2, zero),
+        14: (zero, tau3 + zero, u12 * u21 * u31 * alpha),
+        15: (zero, tau4 + zero, u13 * u21 * u31 * alpha),
+        16: (tau5 + zero, kappa * alpha, u12 * u13 * u21 * u31 * alpha ** 2),
     }[index]
 
 
@@ -63,9 +69,8 @@ def abs2(z):
 def dense_fields(index, alpha, phi):
     """The three grids, by broadcasting ``alpha`` against ``phi`` in one piece."""
     U = closed_form_matrix(np.exp(-1j * phi))
-    D = derived_coeffs(U)
     diag = U[0, 0]
-    c0, c1, c2 = dense_rows(index, U, D, alpha)
+    c0, c1, c2 = dense_rows(index, U, alpha)
     beta_c = np.conjugate(diag * alpha)
     t = np.multiply(c2, beta_c)
     v0, v1, v2 = c0 + np.multiply(c1 + t, beta_c), c1 + 2.0 * t, SQRT2 * c2
@@ -107,12 +112,12 @@ def test_fields_equal_dense_kernel(index):
         # two 1-D axes make an outer-product grid
         a, p = (alpha[:, None], phi[None, :]) if alpha.ndim == 1 else (alpha, phi)
         want = dense_fields(index, a, p)
-        got = _fields(index, alpha, phi)
+        got = _fields(LABELS[index], alpha, phi)
         for name, g, w in zip(QUANTITIES, got, want):
             assert_same_bytes(g, w, f"psi{index} {name} on {label}")
         # each quantity alone is the same grid
         for name, w in zip(QUANTITIES, want):
-            (g,) = _fields(index, alpha, phi, (name,))
+            (g,) = _fields(LABELS[index], alpha, phi, (name,))
             assert_same_bytes(g, w, f"psi{index} {name} alone on {label}")
 
 
@@ -120,14 +125,14 @@ def test_forbidden_cells_are_covered():
     # psi5 is c1 = u21, and u21 = 0 at phi = 0: the whole phi = 0 column is
     # forbidden, so the guard path runs in every row block
     _, alpha, phi = next(grids())
-    prob, var_x, var_p = _fields(5, alpha, phi)
+    prob, var_x, var_p = _fields(LABELS[5], alpha, phi)
     assert np.all(prob[:, 0] == 0.0)
     assert np.all(np.isnan(var_x[:, 0])) and np.all(np.isnan(var_p[:, 0]))
     assert not np.any(np.isnan(var_x[1:, 1:]))
     # psi2 (c0 = u12 alpha, a coherent state) is forbidden on the alpha = 0
     # row and, as u12 = 0 too, on the phi = 0 column; its variance is the
     # vacuum's everywhere else
-    _, var_x, _ = _fields(2, alpha, phi)
+    _, var_x, _ = _fields(LABELS[2], alpha, phi)
     assert np.all(np.isnan(var_x[0])) and np.all(np.isnan(var_x[:, 0]))
     assert np.all(var_x[1:, 1:] == 0.5)
 
@@ -138,12 +143,11 @@ def test_table1_coeffs_equal_dense_rows():
     for index, pattern in LABELS.items():
         for phi in (0.0, 2.0, math.pi):
             U = compose(phi)
-            D = derived_coeffs(U)
             for alpha_mag in (0.0, 1.7):
                 for theta in (0.0, 2.5, -1.0):
                     spec = HeraldSpec(*pattern, alpha_mag=alpha_mag, phi=phi, theta=theta)
-                    st = table1_coeffs(spec, U, D)
-                    want = [complex(c) for c in dense_rows(index, U, D, spec.alpha)]
+                    st = table1_coeffs(spec, U)
+                    want = [complex(c) for c in dense_rows(index, U, spec.alpha)]
                     assert (np.array([st.c0, st.c1, st.c2]).tobytes()
                             == np.array(want).tobytes()), (index, phi, alpha_mag, theta)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,9 @@ def test_heisenberg_bound():
 # -- dB scale -----------------------------------------------------------------------
 
 def test_squeeze_db_vacuum():
-    assert squeeze_db(0.5) == pytest.approx(0.0)
+    # exactly zero with a positive sign: the CLI prints it
+    assert math.copysign(1.0, squeeze_db(0.5)) == 1.0
+    assert squeeze_db(0.5) == 0.0
 
 
 def test_squeeze_db_published_value():

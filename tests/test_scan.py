@@ -19,6 +19,7 @@ from sixport import (
     table1_coeffs,
 )
 from sixport.scan import _fields, _mirrored_axis
+from sixport.states import LABELS
 
 # located while freezing the landscape behavior: the psi16 x-variance dip at
 # |alpha| = 2 sits near phi = 1.47 at about 0.303
@@ -234,12 +235,12 @@ def test_selective_fields_match_full_call(res):
     phi = _mirrored_axis(0.0, 2 * np.pi, res)
     forbidden = 0
     for index in range(1, 17):
-        full = _fields(index, alpha, phi)
+        full = _fields(LABELS[index], alpha, phi)
         forbidden += int(np.isnan(full[1]).sum())
         for quantity, want in zip(("probability", "var_x", "var_p"), full):
-            (got,) = _fields(index, alpha, phi, quantities=(quantity,))
+            (got,) = _fields(LABELS[index], alpha, phi, quantities=(quantity,))
             np.testing.assert_array_equal(got, want)
-        var_p, prob = _fields(index, alpha, phi, quantities=("var_p", "probability"))
+        var_p, prob = _fields(LABELS[index], alpha, phi, quantities=("var_p", "probability"))
         np.testing.assert_array_equal(var_p, full[2])
         np.testing.assert_array_equal(prob, full[0])
     assert forbidden > 0
@@ -277,9 +278,9 @@ def test_batched_fields_match_outer_product_calls():
     alpha = rng.uniform(0.0, 10.0, (3, 5))
     phi = rng.uniform(0.0, 2 * np.pi, (3, 5))
     for index in (5, 7, 16):
-        batched = _fields(index, alpha[:, :, None], phi[:, None, :])
+        batched = _fields(LABELS[index], alpha[:, :, None], phi[:, None, :])
         for k in range(3):
-            single = _fields(index, alpha[k], phi[k])
+            single = _fields(LABELS[index], alpha[k], phi[k])
             for b, s in zip(batched, single):
                 np.testing.assert_array_equal(b[k], s)
 

@@ -24,6 +24,7 @@ from sixport import (
 )
 from sixport.cli import main
 from sixport.scan import _fields, _smallest_cells
+from sixport.states import LABELS
 
 # the package re-exports the function ``scan`` under the module's name
 scan_module = importlib.import_module("sixport.scan")
@@ -117,7 +118,7 @@ def test_full_circle_upper_half_matches_direct_evaluation(res):
             assert symmetry_report(grid) == 0.0
             upper = grid.phi_axis > np.pi
             # the kernel on the phi > pi columns themselves, not their mirror
-            (direct,) = _fields(index, grid.alpha_axis, grid.phi_axis[upper], (quantity,))
+            (direct,) = _fields(LABELS[index], grid.alpha_axis, grid.phi_axis[upper], (quantity,))
             got = grid.values[:, upper]
             np.testing.assert_array_equal(np.isnan(got), np.isnan(direct))
             dev = np.nan_to_num(np.abs(got - direct)) / cell_scale(quantity, grid.alpha_axis)
@@ -129,7 +130,7 @@ def test_direct_upper_half_is_evaluate_point():
     grids = [scan("psi16", q, resolution=201) for q in QUANTITIES]
     alpha_axis, phi_axis = grids[0].alpha_axis, grids[0].phi_axis
     cols = np.flatnonzero(phi_axis > np.pi)[::9]
-    direct = _fields(16, alpha_axis[::11], phi_axis[cols])
+    direct = _fields(LABELS[16], alpha_axis[::11], phi_axis[cols])
     for i, a in enumerate(alpha_axis[::11]):
         for j, p in enumerate(phi_axis[cols]):
             want = [d[i, j] for d in direct]
@@ -150,16 +151,16 @@ def test_partial_range_cells_equal_evaluate_point():
 
 def unblocked(index, alpha, phi):
     # (m, 1) against (1, n) broadcasts to the same grid but is never blocked
-    return _fields(index, alpha[:, None], phi[None, :])
+    return _fields(LABELS[index], alpha[:, None], phi[None, :])
 
 
 def row_by_row(index, alpha, phi):
-    rows = [_fields(index, alpha[i:i + 1], phi) for i in range(len(alpha))]
+    rows = [_fields(LABELS[index], alpha[i:i + 1], phi) for i in range(len(alpha))]
     return tuple(np.concatenate([r[q] for r in rows]) for q in range(3))
 
 
 def assert_fields_equal(index, alpha, phi):
-    blocked = _fields(index, alpha, phi)
+    blocked = _fields(LABELS[index], alpha, phi)
     for reference in (unblocked(index, alpha, phi), row_by_row(index, alpha, phi)):
         for got, want in zip(blocked, reference):
             assert got.shape == (len(alpha), len(phi))

@@ -11,7 +11,6 @@ from sixport import (
     SeriesOrderTooLarge,
     compose,
     default_cutoff,
-    derived_coeffs,
     general_heralded,
     herald_state,
     normalization,
@@ -19,7 +18,7 @@ from sixport import (
     state_fock_vector,
     table1_coeffs,
 )
-from sixport.states import _poly_fock_vector
+from sixport.states import _poly_fock_vector, row_coefficients
 
 # probability of the (2,0,1,0) herald at alpha=1.5, phi=1.0, frozen after
 # triple agreement (series extraction, oracle state, oracle distribution)
@@ -50,11 +49,12 @@ def test_row_psi5():
 
 def test_row_psi16():
     U = compose(2.0)
-    D = derived_coeffs(U)
     alpha = 2.0
-    st = table1_coeffs(spec_for(16, alpha, 2.0), U, D)
-    assert st.c0 == pytest.approx(D.tau5)
-    assert st.c1 == pytest.approx(D.kappa * alpha)
+    st = table1_coeffs(spec_for(16, alpha, 2.0), U)
+    assert st.c0 == pytest.approx(U[1, 2] * U[2, 1] + U[1, 1] * U[2, 2])
+    assert st.c1 == pytest.approx(
+        (U[0, 1] * U[1, 2] * U[2, 0] + U[0, 2] * U[1, 1] * U[2, 0]
+         + U[0, 2] * U[1, 0] * U[2, 1] + U[0, 1] * U[1, 0] * U[2, 2]) * alpha)
     assert st.c2 == pytest.approx(U[0, 1] * U[0, 2] * U[1, 0] * U[2, 0] * alpha ** 2)
     assert st.seed == pytest.approx(U[0, 0] * alpha)
 
@@ -63,6 +63,34 @@ def test_out_of_table_range():
     spec = HeraldSpec(2, 0, 1, 0, alpha_mag=1.0, phi=1.0)
     with pytest.raises(OutOfTableRange):
         table1_coeffs(spec, compose(1.0))
+
+
+def random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_matching_rule_on_generic_unitary():
+    # the interferometer's U has one diagonal and one off-diagonal value, so
+    # an index swap such as u23 <-> u32 would not show with it; a generic
+    # unitary separates all nine entries
+    U = random_unitary(17)
+    assert np.allclose(U @ U.conj().T, np.eye(3), atol=1e-14)
+    assert len({complex(v) for v in U.reshape(-1)}) == 9
+    for pattern in PATTERNS:
+        n, m = pattern[0] + pattern[1], pattern[2] + pattern[3]
+        levels = row_coefficients(pattern, U)
+        assert [level is not None for level in levels] == [
+            n - min(n, m) <= d <= n for d in range(3)], pattern
+        for alpha_mag, theta in ((1.3, 0.0), (0.8, 2.5)):
+            spec = HeraldSpec(*pattern, alpha_mag=alpha_mag, phi=0.0, theta=theta)
+            st = table1_coeffs(spec, U)
+            res = general_heralded(spec, U)
+            want = list(res.coeffs) + [0j] * (3 - len(res.coeffs))
+            got = [st.c0, st.c1, st.c2]
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (pattern, theta)
+            assert abs(st.probability - res.probability) <= 1e-12, (pattern, theta)
 
 
 # -- normalization -------------------------------------------------------------
