@@ -14,13 +14,11 @@ from .errors import (
     ClosedFormMismatch,
     ComputationError,
     CutoffInadequate,
-    DimensionTooLarge,
     HeraldImpossible,
     NonpositiveVariance,
     NonzeroConstantTerm,
     OrderOverflow,
     OutOfTableRange,
-    PhotonNumberMismatch,
     QuantityMismatch,
     ResidualMassTooLarge,
     SeriesOrderTooLarge,
@@ -52,10 +50,8 @@ from .oracle import (
     default_herald_max,
     expectation,
     fix_global_phase,
-    fock_amplitude,
     herald_distribution,
     herald_state,
-    permanent,
 )
 from .scan import (
     GRID_CELLS_MAX,

@@ -10,6 +10,9 @@ Exit status: 0 on success, 2 on validation errors (bad flags or values),
 verification).  Error payloads are JSON objects {"error": ..., "message": ...}
 on stderr.
 
+One read-only table, ``FLAGS``, holds each flag's type, choices, default,
+accepted range with its error message, and the library budget it feeds; the
+parser, the --config check, the defaults and the range checks all read it.
 A JSON file passed via --config seeds any omitted flags; explicit flags win.
 A config value must have its flag's JSON type (else ConfigError, exit 2).
 The environment variable SIXPORT_CUTOFF overrides the default Fock cutoff
@@ -23,6 +26,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,19 +49,98 @@ from .verification import run_verification
 
 ENV_CUTOFF = "SIXPORT_CUTOFF"
 
-# defaults are applied after --config merging so that config values can fill
-# any omitted flag while explicit flags always win
-_DEFAULTS = {
-    "method": "closed",
-    "res": 200,
-    "coarse_res": 400,
-    "alpha_min": 0.0,
-    "alpha_max": 10.0,
-    "phi_min": 0.0,
-    "phi_max": 2.0 * math.pi,
-    "samples": 10,
-    "seed": 0,
-}
+
+# -- the flag table -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Flag:
+    """One flag's contract: its type, choices, default and accepted range.
+
+    ``default`` fills the flag when neither the command line nor --config
+    sets it.  A value outside ``low``..``high`` (inclusive, None for open) is
+    a ValidationError with ``message``.  ``budget`` names the library limit
+    the value feeds, checked in its own module; here it is documentation.
+    """
+    name: str
+    type: type = str
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    low: int | None = None
+    high: int | None = None
+    message: str | None = None
+    budget: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+    def from_config(self, value):
+        """A --config value as this flag's type; ValueError if its JSON type or choice is wrong.
+
+        int flags take integers, float flags any number, the others strings; never booleans.
+        """
+        kinds = (int, float) if self.type is float else self.type
+        if isinstance(value, bool) or not isinstance(value, kinds) or (
+                self.choices is not None and value not in self.choices):
+            raise ValueError(value)
+        return self.type(value)
+
+    def check(self, value):
+        """``value``; ValidationError with ``message`` if it lies outside low..high."""
+        if value is not None and ((self.low is not None and value < self.low)
+                                  or (self.high is not None and value > self.high)):
+            raise ValidationError(self.message)
+        return value
+
+
+_N2 = Flag("--n2", int, "ancilla photons into port 2")
+_N3 = Flag("--n3", int, "ancilla photons into port 3")
+_M2 = Flag("--m2", int, "photons measured on port 2")
+_M3 = Flag("--m3", int, "photons measured on port 3")
+_ALPHA = Flag("--alpha", float, "coherent amplitude magnitude")
+_PHI = Flag("--phi", float, "shift phase in radians")
+_CUTOFF = Flag("--cutoff", int, "Fock cutoff override", low=2,
+               message="--cutoff must be at least 2", budget="BOX_CELLS_MAX")
+_HERALD = (_N2, _N3, _M2, _M3, _ALPHA, _PHI, _CUTOFF)
+_FAMILY = (Flag("--family", help="family label psi1..psi16, or give its herald tuple"),
+           _N2, _N3, _M2, _M3)
+_METHOD = Flag("--method", choices=("closed", "oracle"), default="closed")
+_K = Flag("--k", int, "power of a^dagger", low=0, high=MAX_POWER,
+          message=f"--k and --l must be in 0..{MAX_POWER}")
+_L = replace(_K, name="--l", help="power of a")
+_RES = Flag("--res", int, default=200, low=2, message="--res must be at least 2",
+            budget="GRID_CELLS_MAX")
+_COARSE_RES = Flag("--coarse-res", int, default=400, low=2,
+                   message="--coarse-res must be at least 2", budget="GRID_CELLS_MAX")
+_SAMPLES = Flag("--samples", int, default=10, low=1, message="--samples must be at least 1",
+                budget="SAMPLES_MAX")
+_SEED = Flag("--seed", int, default=0, low=0, message="--seed must be a non-negative integer")
+_HERALD_MAX = Flag("--herald-max", int, "largest herald count per port (default 15 + |alpha|^2)",
+                   low=0, message="--herald-max must be non-negative", budget="BOX_CELLS_MAX")
+
+#: Every flag, per subcommand in declaration order; the None entry holds the
+#: flags that precede the subcommand.  Read-only.
+FLAGS = MappingProxyType({
+    None: (Flag("--config", help="JSON file providing defaults for omitted flags"),
+           Flag("--output", help="write the result to this file instead of stdout")),
+    "matrix": (_PHI,),
+    "herald": _HERALD,
+    "state": (*_HERALD, replace(_METHOD, choices=("closed", "general", "oracle"))),
+    "moments": (*_HERALD, _K, _L, _METHOD),
+    "quadratures": (*_HERALD, _METHOD),
+    "scan": (*_FAMILY, Flag("--quantity", choices=("prob", "varx", "varp")),
+             Flag("--alpha-min", float, default=0.0), Flag("--alpha-max", float, default=10.0),
+             Flag("--phi-min", float, default=0.0),
+             Flag("--phi-max", float, default=2.0 * math.pi), _RES),
+    "optimize": (*_FAMILY, _COARSE_RES),
+    "verify": (_SAMPLES, _SEED),
+    "dist": (_N2, _N3, _ALPHA, _PHI, _CUTOFF, _HERALD_MAX),
+})
+
+
+class ConfigError(ValidationError):
+    """A --config file cannot be read, or one of its values does not fit its flag."""
 
 
 # -- serialization -----------------------------------------------------------
@@ -103,94 +187,47 @@ def _emit(text: str, output_path: str | None) -> None:
 
 # -- argument plumbing --------------------------------------------------------
 
-def _herald_flags(p: argparse.ArgumentParser, with_herald=True) -> None:
-    p.add_argument("--n2", type=int, help="ancilla photons into port 2")
-    p.add_argument("--n3", type=int, help="ancilla photons into port 3")
-    if with_herald:
-        p.add_argument("--m2", type=int, help="photons measured on port 2")
-        p.add_argument("--m3", type=int, help="photons measured on port 3")
-    p.add_argument("--alpha", type=float, help="coherent amplitude magnitude")
-    p.add_argument("--phi", type=float, help="shift phase in radians")
-    p.add_argument("--cutoff", type=int, default=None, help="Fock cutoff override")
-
-
-def _family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="family label psi1..psi16")
-    p.add_argument("--n2", type=int, help="alternative addressing: herald tuple")
-    p.add_argument("--n3", type=int)
-    p.add_argument("--m2", type=int)
-    p.add_argument("--m3", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sixport",
         description="Heralded state engineering on a six-port Mach-Zehnder interferometer",
     )
-    parser.add_argument("--config", help="JSON file providing defaults for omitted flags")
-    parser.add_argument("--output", help="write the result to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("matrix", help="composed transfer matrix as JSON")
-    p.add_argument("--phi", type=float, help="shift phase in radians")
-
-    p = sub.add_parser("herald", help="oracle heralded state in the number basis")
-    _herald_flags(p)
-
-    p = sub.add_parser("state", help="closed-form / series / oracle heralded state")
-    _herald_flags(p)
-    p.add_argument("--method", choices=("closed", "general", "oracle"))
-
-    p = sub.add_parser("moments", help="<a^dagger^k a^l> on the heralded state")
-    _herald_flags(p)
-    p.add_argument("--k", type=int, help="power of a^dagger")
-    p.add_argument("--l", type=int, help="power of a")
-    p.add_argument("--method", choices=("closed", "oracle"))
-
-    p = sub.add_parser("quadratures", help="x/p quadrature variances and squeezing dB")
-    _herald_flags(p)
-    p.add_argument("--method", choices=("closed", "oracle"))
-
-    p = sub.add_parser("scan", help="CSV landscape of probability or variance")
-    _family_flags(p)
-    p.add_argument("--quantity", choices=("prob", "varx", "varp"))
-    p.add_argument("--alpha-min", type=float)
-    p.add_argument("--alpha-max", type=float)
-    p.add_argument("--phi-min", type=float)
-    p.add_argument("--phi-max", type=float)
-    p.add_argument("--res", type=int)
-
-    p = sub.add_parser("optimize", help="minimize the x-quadrature variance")
-    _family_flags(p)
-    p.add_argument("--coarse-res", type=int)
-
-    p = sub.add_parser("verify", help="seeded cross-path verification suite")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("dist", help="probabilities of all herald outcomes")
-    _herald_flags(p, with_herald=False)
-    p.add_argument("--herald-max", type=int,
-                   help="largest herald count per port (default 15 + |alpha|^2)")
+    for command, flags in FLAGS.items():
+        target = parser if command is None else sub.add_parser(command, help=_COMMANDS[command][0])
+        for flag in flags:
+            target.add_argument(flag.name, type=flag.type, choices=flag.choices, help=flag.help)
     return parser
 
 
-def _config_value(parser: argparse.ArgumentParser, command: str, name: str, value):
-    """A --config value as its flag's type; ValueError if the JSON type or choice is wrong.
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line's flags, then --config values for omitted ones, then defaults.
 
-    int flags take integers, float flags any number, the others strings; never true or false.
+    An unreadable --config file, or a value whose JSON type or choice does
+    not fit its flag, raises ConfigError.  Bounds are checked later, where
+    each command reads its values.
     """
-    actions = list(parser._actions)
-    for a in parser._actions:
-        if isinstance(a, argparse._SubParsersAction):
-            actions += a.choices[command]._actions
-    action = next(a for a in actions if a.dest == name)
-    kind = action.type or str
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(value)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(value)
-    return kind(value)
+    args = build_parser().parse_args(argv)
+    flags = {flag.dest: flag for flag in (*FLAGS[None], *FLAGS[args.command])}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        if not isinstance(config, dict):
+            raise ConfigError("config file must hold a JSON object")
+        for key, value in config.items():
+            flag = flags.get(key.replace("-", "_"))
+            if flag is not None and getattr(args, flag.dest) is None:
+                try:
+                    setattr(args, flag.dest, flag.from_config(value))
+                except (ValueError, OverflowError):
+                    raise ConfigError(f"config value {key!r} does not fit its flag") from None
+    for flag in flags.values():
+        if getattr(args, flag.dest) is None:
+            setattr(args, flag.dest, flag.default)
+    return args
 
 
 def _require(args, names) -> None:
@@ -214,17 +251,15 @@ def _spec_from_args(args, with_herald=True) -> HeraldSpec:
 
 def _effective_cutoff(args, spec) -> int:
     if args.cutoff is not None:
-        if args.cutoff < 2:
-            raise ValidationError("--cutoff must be at least 2")
-        return args.cutoff
+        return _CUTOFF.check(args.cutoff)
     env = os.environ.get(ENV_CUTOFF)
     if env is not None:
         try:
             value = int(env)
         except ValueError:
             raise ValidationError(f"{ENV_CUTOFF} must be an integer") from None
-        if value < 2:
-            raise ValidationError(f"{ENV_CUTOFF} must be at least 2")
+        if value < _CUTOFF.low:
+            raise ValidationError(f"{ENV_CUTOFF} must be at least {_CUTOFF.low}")
         return value
     return default_cutoff(spec)
 
@@ -294,16 +329,15 @@ def _cmd_state(args) -> str:
 def _cmd_moments(args) -> str:
     spec = _spec_from_args(args)
     _require(args, ["k", "l"])
-    if not (0 <= args.k <= MAX_POWER and 0 <= args.l <= MAX_POWER):
-        raise ValidationError(f"--k and --l must be in 0..{MAX_POWER}")
+    k, l = _K.check(args.k), _L.check(args.l)
     if args.method == "closed":
         st = table1_coeffs(spec, compose(spec.phi))
-        value = moment(st, args.k, args.l)
+        value = moment(st, k, l)
     else:
         cutoff = _effective_cutoff(args, spec)
         state, _ = herald_state(spec, cutoff)
-        value = expectation(state, args.k, args.l)
-    return _to_json({"k": args.k, "l": args.l, "moment": value, "method": args.method})
+        value = expectation(state, k, l)
+    return _to_json({"k": k, "l": l, "moment": value, "method": args.method})
 
 
 def _cmd_quadratures(args) -> str:
@@ -324,14 +358,13 @@ def _cmd_scan(args) -> str:
     label = _family_label(args)
     _require(args, ["quantity"])
     quantity = {"prob": "probability", "varx": "var_x", "varp": "var_p"}[args.quantity]
-    if args.res < 2:
-        raise ValidationError("--res must be at least 2")
+    res = _RES.check(args.res)
     if not (args.alpha_min < args.alpha_max and args.phi_min < args.phi_max):
         raise ValidationError("ranges must satisfy min < max")
     try:
         grid = scan(label, quantity,
                     (args.alpha_min, args.alpha_max),
-                    (args.phi_min, args.phi_max), args.res)
+                    (args.phi_min, args.phi_max), res)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     return grid.to_csv()
@@ -339,9 +372,7 @@ def _cmd_scan(args) -> str:
 
 def _cmd_optimize(args) -> str:
     label = _family_label(args)
-    if args.coarse_res < 2:
-        raise ValidationError("--coarse-res must be at least 2")
-    result = minimize_variance(label, coarse_resolution=args.coarse_res)
+    result = minimize_variance(label, coarse_resolution=_COARSE_RES.check(args.coarse_res))
     return _to_json({
         "alpha_opt": result.alpha_opt,
         "phi_opt": result.phi_opt,
@@ -353,21 +384,14 @@ def _cmd_optimize(args) -> str:
 
 
 def _cmd_verify(args) -> str:
-    if args.samples < 1:
-        raise ValidationError("--samples must be at least 1")
-    if args.seed < 0:
-        raise ValidationError("--seed must be a non-negative integer")
-    report = run_verification(args.samples, args.seed)
-    return _to_json(report)
+    return _to_json(run_verification(_SAMPLES.check(args.samples), _SEED.check(args.seed)))
 
 
 def _cmd_dist(args) -> str:
     spec = _spec_from_args(args, with_herald=False)
-    herald_max = args.herald_max
+    herald_max = _HERALD_MAX.check(args.herald_max)
     if herald_max is None:
         herald_max = default_herald_max(spec.alpha_mag)
-    if herald_max < 0:
-        raise ValidationError("--herald-max must be non-negative")
     cutoff = _effective_cutoff(args, spec)
     dist = herald_distribution(spec.n2, spec.n3, spec.alpha_mag, spec.phi,
                                herald_max, cutoff)
@@ -377,53 +401,25 @@ def _cmd_dist(args) -> str:
 
 
 _COMMANDS = {
-    "matrix": _cmd_matrix,
-    "herald": _cmd_herald,
-    "state": _cmd_state,
-    "moments": _cmd_moments,
-    "quadratures": _cmd_quadratures,
-    "scan": _cmd_scan,
-    "optimize": _cmd_optimize,
-    "verify": _cmd_verify,
-    "dist": _cmd_dist,
+    "matrix": ("composed transfer matrix as JSON", _cmd_matrix),
+    "herald": ("oracle heralded state in the number basis", _cmd_herald),
+    "state": ("closed-form / series / oracle heralded state", _cmd_state),
+    "moments": ("<a^dagger^k a^l> on the heralded state", _cmd_moments),
+    "quadratures": ("x/p quadrature variances and squeezing dB", _cmd_quadratures),
+    "scan": ("CSV landscape of probability or variance", _cmd_scan),
+    "optimize": ("minimize the x-quadrature variance", _cmd_optimize),
+    "verify": ("seeded cross-path verification suite", _cmd_verify),
+    "dist": ("probabilities of all herald outcomes", _cmd_dist),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail("ConfigError", str(exc))
-            return 2
-        if not isinstance(config, dict):
-            _fail("ConfigError", "config file must hold a JSON object")
-            return 2
-        # config fills flags the command line left unset; flags always win
-        for key, value in config.items():
-            name = key.replace("-", "_")
-            if getattr(args, name, None) is None and hasattr(args, name):
-                try:
-                    setattr(args, name, _config_value(parser, args.command, name, value))
-                except (ValueError, OverflowError):
-                    _fail("ConfigError", f"config value {key!r} does not fit its flag")
-                    return 2
-    for name, value in _DEFAULTS.items():
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, value)
-
     try:
-        payload = _COMMANDS[args.command](args)
-    except (ValidationError, ValueError) as exc:
+        args = parse_args(argv)
+        payload = _COMMANDS[args.command][1](args)
+    except (ValidationError, ValueError, ComputationError) as exc:
         _fail(type(exc).__name__, str(exc))
-        return 2
-    except ComputationError as exc:
-        _fail(type(exc).__name__, str(exc))
-        return 3
+        return 3 if isinstance(exc, ComputationError) else 2
     try:
         _emit(payload, args.output)
     except OSError as exc:

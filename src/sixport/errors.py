@@ -32,14 +32,6 @@ class VariableMismatch(ValidationError):
     """Two series do not share the same variables and truncation orders."""
 
 
-class DimensionTooLarge(ValidationError):
-    """Matrix too large for the permanent routine."""
-
-
-class PhotonNumberMismatch(ValidationError):
-    """Input and output occupations carry different total photon number."""
-
-
 class OutOfTableRange(ValidationError):
     """Herald pattern outside the tabulated single-photon-level range."""
 

@@ -8,9 +8,6 @@ creation operators, then reading off the amplitudes at the measured ancilla
 occupations.  Because creation operators only ever raise occupation numbers,
 truncating the ancilla axes at the herald values (and the signal axis at the
 cutoff) is exact for the retained amplitudes, not an approximation.
-
-Permanent-based transition amplitudes are exposed separately and serve as an
-internal cross-check for small photon numbers.
 """
 
 from __future__ import annotations
@@ -22,9 +19,7 @@ import numpy as np
 
 from .errors import (
     CutoffInadequate,
-    DimensionTooLarge,
     HeraldImpossible,
-    PhotonNumberMismatch,
     ResidualMassTooLarge,
     WorkTooLarge,
 )
@@ -44,6 +39,13 @@ ALPHA_MAX = 1e6
 # cutoff or herald box is refused with WorkTooLarge before anything is
 # allocated.
 BOX_CELLS_MAX = 2 ** 22
+# Largest |alpha| the oracle accepts.  The raising loop stops once the drive's
+# running amplitude exp(-|alpha|^2/2) |alpha|^j / sqrt(j!) falls below 1e-200;
+# past |alpha| = 30.4609 its first value, exp(-|alpha|^2/2) |alpha|, already
+# does, so the loop would end long before the Poisson bulk at j ~ |alpha|^2
+# and report a zero state.  A larger |alpha| is refused with WorkTooLarge
+# before anything is allocated.
+DRIVE_ALPHA_MAX = 30.46
 
 
 @dataclass(frozen=True)
@@ -94,56 +96,6 @@ class FockVector:
         return cls(amps, len(amps) - 1, float(np.sum(np.abs(amps) ** 2)))
 
 
-def permanent(M: np.ndarray) -> complex:
-    """Matrix permanent by Ryser's inclusion-exclusion with Gray-code updates."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionTooLarge("permanent requires a square matrix")
-    n = M.shape[0]
-    if n > 20:
-        raise DimensionTooLarge(f"matrix size {n} exceeds the n <= 20 limit")
-    if n == 0:
-        return 1.0 + 0.0j
-
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    old_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        changed = gray ^ old_gray
-        j = changed.bit_length() - 1
-        if gray & changed:
-            row_sums += M[:, j]
-        else:
-            row_sums -= M[:, j]
-        sign = -1.0 if (n - gray.bit_count()) & 1 else 1.0
-        total += sign * np.prod(row_sums)
-        old_gray = gray
-    return complex(total)
-
-
-def fock_amplitude(U: np.ndarray, n_in, n_out) -> complex:
-    """<n_out| U |n_in> for a three-mode passive unitary.
-
-    The submatrix repeats row i n_out[i] times and column j n_in[j] times;
-    the amplitude is its permanent over the square root of all occupation
-    factorials.
-    """
-    n_in = tuple(int(v) for v in n_in)
-    n_out = tuple(int(v) for v in n_out)
-    if sum(n_in) != sum(n_out):
-        raise PhotonNumberMismatch(f"{n_in} -> {n_out} changes the photon number")
-    if sum(n_in) == 0:
-        return 1.0 + 0.0j
-    rows = [i for i, c in enumerate(n_out) for _ in range(c)]
-    cols = [j for j, c in enumerate(n_in) for _ in range(c)]
-    sub = np.asarray(U, dtype=complex)[np.ix_(rows, cols)]
-    norm = 1.0
-    for c in (*n_in, *n_out):
-        norm *= math.factorial(c)
-    return permanent(sub) / math.sqrt(norm)
-
-
 def default_cutoff(spec: HeraldSpec) -> int:
     """Signal-mode truncation: Poisson bulk of the transmitted coherent seed
     plus a wide safety band, plus the added ancilla photons; at least 20.
@@ -168,6 +120,13 @@ def _checked_box(*dims: int) -> tuple[int, ...]:
         raise WorkTooLarge(
             f"oracle box {dims} has {cells} cells, over BOX_CELLS_MAX = {BOX_CELLS_MAX}")
     return dims
+
+
+def _checked_drive(alpha_mag: float) -> None:
+    """Refuse a drive past DRIVE_ALPHA_MAX, where the raising loop stops at once."""
+    if alpha_mag > DRIVE_ALPHA_MAX:
+        raise WorkTooLarge(
+            f"oracle drive |alpha| = {alpha_mag:g} is over DRIVE_ALPHA_MAX = {DRIVE_ALPHA_MAX}")
 
 
 def _sqrt_table(n: int) -> np.ndarray:
@@ -260,6 +219,7 @@ def herald_state(spec: HeraldSpec, cutoff: int | None = None) -> tuple[FockVecto
         cutoff = default_cutoff(spec)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
+    _checked_drive(spec.alpha_mag)
     dims = _checked_box(cutoff + 1, spec.m2 + 1, spec.m3 + 1)
     U = compose(spec.phi)
     j_max = cutoff + spec.m2 + spec.m3 - spec.n2 - spec.n3
@@ -325,6 +285,7 @@ def herald_distribution(n2: int, n3: int, alpha_mag: float, phi: float,
     spec = HeraldSpec(n2, n3, 0, 0, alpha_mag, phi)
     if cutoff is None:
         cutoff = default_cutoff(spec)
+    _checked_drive(alpha_mag)
     dims = _checked_box(cutoff + 1, herald_max + 1, herald_max + 1)
     U = compose(phi)
     # Poisson bulk of the drive, capped at the largest j that can still land

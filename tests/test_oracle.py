@@ -3,21 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from permanents import DimensionTooLarge, PhotonNumberMismatch, fock_amplitude, permanent
 from sixport import (
     CutoffInadequate,
-    DimensionTooLarge,
     FockVector,
     HeraldImpossible,
     HeraldSpec,
-    PhotonNumberMismatch,
     ResidualMassTooLarge,
     compose,
     default_cutoff,
     expectation,
-    fock_amplitude,
     herald_distribution,
     herald_state,
-    permanent,
     tritter1_matrix,
 )
 

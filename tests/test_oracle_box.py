@@ -1,5 +1,6 @@
 """The corner-only raising loop of the oracle against a whole-box reference,
-the oracle box budget, the default herald box, and series index lookup."""
+the oracle box budget, the drive limit, the default herald box, and series
+index lookup."""
 
 import importlib
 import json
@@ -21,6 +22,7 @@ from sixport import (
     default_herald_max,
     herald_distribution,
     herald_state,
+    table1_coeffs,
 )
 from sixport import oracle
 from sixport.cli import main
@@ -145,6 +147,26 @@ def test_herald_distribution_box_at_and_above_the_budget(no_raising):
     assert len(no_raising) == 1
 
 
+@pytest.mark.parametrize("alpha", [29.0, 30.0, oracle.DRIVE_ALPHA_MAX])
+def test_herald_state_up_to_the_drive_limit_matches_closed_form(alpha):
+    # U = 1 at phi = 0, so the drive passes straight through and the herald
+    # (1, 1) of inputs (1, 1) has probability 1
+    spec = HeraldSpec(1, 1, 1, 1, alpha_mag=alpha, phi=0.0)
+    _, probability = herald_state(spec)
+    closed = table1_coeffs(spec, compose(0.0)).probability
+    assert closed == pytest.approx(1.0, rel=1e-12)
+    assert probability == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [31.0, 40.0, 1000.0])
+def test_drive_past_the_limit_is_refused_before_the_box(no_raising, alpha):
+    with pytest.raises(WorkTooLarge, match="DRIVE_ALPHA_MAX = 30.46"):
+        herald_state(HeraldSpec(1, 1, 1, 1, alpha_mag=alpha, phi=0.0))
+    with pytest.raises(WorkTooLarge, match="DRIVE_ALPHA_MAX = 30.46"):
+        herald_distribution(0, 0, alpha, 0.0, 0, cutoff=2)
+    assert no_raising == []
+
+
 def test_default_boxes_fit_the_budget():
     for alpha in (0.0, 3.0, 10.0):
         h = default_herald_max(alpha)
@@ -163,6 +185,8 @@ def run_cli(capsys, *argv):
      "--alpha", "1", "--phi", "2", "--cutoff", "100000000"),
     ("dist", "--n2", "0", "--n3", "0", "--alpha", "1", "--phi", "2",
      "--herald-max", "100000"),
+    *[("herald", "--n2", "1", "--n3", "1", "--m2", "1", "--m3", "1", "--phi", "0",
+       "--alpha", alpha) for alpha in ("31", "40", "1000")],
 ])
 def test_cli_refuses_oversized_box_before_work(capsys, no_raising, argv):
     start = time.perf_counter()
