@@ -23,6 +23,7 @@ from .errors import (
     ResidualMassTooLarge,
     SeriesOrderTooLarge,
     SixportError,
+    UnknownFamily,
     ValidationError,
     VariableMismatch,
     VerificationFailed,

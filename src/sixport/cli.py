@@ -103,7 +103,8 @@ _PHI = Flag("--phi", float, "shift phase in radians")
 _CUTOFF = Flag("--cutoff", int, "Fock cutoff override", low=2,
                message="--cutoff must be at least 2", budget="BOX_CELLS_MAX")
 _HERALD = (_N2, _N3, _M2, _M3, _ALPHA, _PHI, _CUTOFF)
-_FAMILY = (Flag("--family", help="family label psi1..psi16, or give its herald tuple"),
+_FAMILY = (Flag("--family", help="family label psi1..psi16, or give its herald tuple",
+                message="unknown family label '<label>'"),
            _N2, _N3, _M2, _M3)
 _METHOD = Flag("--method", choices=("closed", "oracle"), default="closed")
 _K = Flag("--k", int, "power of a^dagger", low=0, high=MAX_POWER,

@@ -56,6 +56,10 @@ class WorkTooLarge(ValidationError):
     """Requested sizes exceed a documented work budget."""
 
 
+class UnknownFamily(ValidationError, ValueError):
+    """A family label names none of psi1..psi16."""
+
+
 # -- computational branch ----------------------------------------------------
 
 class ClosedFormMismatch(ComputationError):

@@ -8,6 +8,14 @@ creation operators, then reading off the amplitudes at the measured ancilla
 occupations.  Because creation operators only ever raise occupation numbers,
 truncating the ancilla axes at the herald values (and the signal axis at the
 cutoff) is exact for the retained amplitudes, not an approximation.
+
+Each creation operator adds one photon, so after j raising steps the state
+lies on the single plane x0 + x1 + x2 = j + const.  The raising loop carries
+that plane alone and writes it into the box on its in-box cells only; every
+retained amplitude gets the same terms, in the same order and with the same
+rounding, as an update of the whole box would give it (``_transformed_output``).
+The loop stays in the plain number basis and uses no displaced-frame identity,
+so it remains independent of the closed forms it checks.
 """
 
 from __future__ import annotations
@@ -138,32 +146,109 @@ def _creation_tables(coeffs, tables):
     return tuple(c * t if c != 0 else None for c, t in zip(coeffs, tables))
 
 
-def _apply_dressed_creation(vec: np.ndarray, out: np.ndarray, ctabs,
-                            reach: int) -> tuple[slice, slice, slice]:
-    """Write  sum_k c_k a_k^dagger vec  into ``out``.
+def _plane_tables(coeffs, tables, planes: int):
+    """``sum_k c_k a_k^dagger`` as the tables ``_raise_plane`` reads.
 
-    ``ctabs`` holds c_k times the sqrt table of axis k (``_creation_tables``).
-    ``vec`` is zero wherever an occupation exceeds ``reach``, its total
-    photon number, so the result is zero past reach + 1: only that corner of
-    ``out`` is written, and its slices are returned.  Skipped terms are
-    products with exact zeros, so every retained amplitude is bit-identical
-    to a whole-box update.  Amplitude raised past an axis end is discarded;
-    by the raising-only argument this never affects amplitudes retained
-    inside the box.
+    Returns (g0, c1, c2).  ``g0[M]`` is the (x1, x2) plane of the axis-0
+    table at x0 = M - x1 - x2: a read-only strided view of one padded line,
+    zero where x0 is 0 or past the axis end, for M < ``planes``.  ``c1`` and
+    ``c2`` are the axis-1 column and axis-2 row from index 1.  None marks a
+    zero coefficient or an axis of length 1.
     """
-    d0, d1, d2 = vec.shape
-    s0, s1, s2 = min(d0, reach + 1), min(d1, reach + 1), min(d2, reach + 1)
-    t0, t1, t2 = min(d0, reach + 2), min(d1, reach + 2), min(d2, reach + 2)
-    corner = (slice(0, t0), slice(0, t1), slice(0, t2))
-    out[corner] = 0.0
-    c0, c1, c2 = ctabs
-    if c0 is not None and t0 > 1:
-        out[1:t0, :s1, :s2] += c0[1:t0, None, None] * vec[:t0 - 1, :s1, :s2]
-    if c1 is not None and t1 > 1:
-        out[:s0, 1:t1, :s2] += c1[None, 1:t1, None] * vec[:s0, :t1 - 1, :s2]
-    if c2 is not None and t2 > 1:
-        out[:s0, :s1, 1:t2] += c2[None, None, 1:t2] * vec[:s0, :s1, :t2 - 1]
-    return corner
+    c0, c1, c2 = _creation_tables(coeffs, tables)
+    d0, d1, d2 = (len(t) for t in tables)
+    g0 = None
+    if c0 is not None:
+        lead = d1 + d2 - 2
+        line = np.zeros(lead + max(planes, d0), dtype=complex)
+        line[lead + 1:lead + d0] = c0[1:]
+        step = line.itemsize
+        g0 = np.ndarray((planes, d1, d2), complex, buffer=line, offset=lead * step,
+                        strides=(step, -step, -step))
+        g0.flags.writeable = False
+    return (g0,
+            c1[1:, None] if c1 is not None and d1 > 1 else None,
+            c2[None, 1:] if c2 is not None and d2 > 1 else None)
+
+
+def _raise_plane(vec: np.ndarray, out: np.ndarray, ptabs, plane: int) -> None:
+    """Write  sum_k c_k a_k^dagger vec  into ``out``, both (x1, x2) planes.
+
+    ``vec`` holds the amplitudes at x0 = plane - 1 - x1 - x2 and ``out``
+    receives those at x0 = plane - x1 - x2; cells whose x0 lies outside the
+    box hold +0.  Each cell of ``out`` starts at +0 and gets its axis-0,
+    axis-1 and axis-2 terms added in that order, each product written as
+    table times vector.
+    """
+    g0, c1, c2 = ptabs
+    if g0 is None:
+        out.fill(0.0)
+    else:
+        np.multiply(g0[plane], vec, out=out)
+        out += 0.0           # a sum started at +0: turns a -0 product into +0
+    if c1 is not None:
+        shifted = out[1:]
+        shifted += c1 * vec[:-1]
+    if c2 is not None:
+        shifted = out[:, 1:]
+        shifted += c2 * vec[:, :-1]
+
+
+class _PlaneCells:
+    """Where each photon-number plane x0 + x1 + x2 = N meets the box ``out``.
+
+    A plane is an (x1, x2) array with x0 implied.  Planes d1 + d2 - 2 up to
+    d0 - 1 lie wholly in the box and are reached as strided views of ``out``;
+    any other plane through its in-box cells, listed once per call in order
+    of x1 + x2 so that each plane's cells are one contiguous run.
+    """
+
+    def __init__(self, out: np.ndarray):
+        d0, d1, d2 = out.shape
+        area = d1 * d2
+        size = out.itemsize
+        x1, x2 = np.indices((d1, d2)).reshape(2, -1)
+        diag = x1 + x2
+        self.order = np.argsort(diag, kind="stable")
+        # flat box index of (N - x1 - x2, x1, x2), less N * area
+        self.offset = (x1 * d2 + x2 - diag * area)[self.order]
+        self.starts = np.searchsorted(diag[self.order], np.arange(d1 + d2)).tolist()
+        self.inner = d1 + d2 - 2
+        self.whole = np.ndarray((max(0, d0 - self.inner), d1, d2), complex, buffer=out,
+                                offset=min(self.inner, d0) * area * size,
+                                strides=(area * size, (d2 - area) * size, (1 - area) * size))
+        self.flat = out.reshape(-1)
+        self.d0, self.area = d0, area
+
+    def _band(self, plane: int):
+        """Flat box indices of the plane's in-box cells, and their plane positions."""
+        run = slice(self.starts[max(0, plane - self.d0 + 1)],
+                    self.starts[min(plane, self.inner) + 1])
+        return self.offset[run] + plane * self.area, self.order[run]
+
+    def put(self, plane: int, values: np.ndarray) -> None:
+        """Box cells of ``plane`` = ``values``."""
+        at, picks = self._band(plane)
+        self.flat[at] = values.reshape(-1)[picks]
+
+    def add(self, plane: int, amp: complex, vec: np.ndarray) -> None:
+        """Box cells of ``plane`` += amp * vec."""
+        if self.inner <= plane < self.d0:
+            cells = self.whole[plane - self.inner]
+            cells += amp * vec
+        else:
+            at, picks = self._band(plane)
+            self.flat[at] += amp * vec.reshape(-1)[picks]
+
+    def settle_zeros(self, plane: int, amps) -> None:
+        """Box cells of ``plane`` += amp * (+0), for every amp in ``amps``.
+
+        That moves no value: it turns a -0 into +0 unless every such product
+        is -0, which a sum of signed zeros reproduces in any order.
+        """
+        zeros = np.multiply(amps, np.zeros(1, dtype=complex))
+        at, _ = self._band(plane)
+        self.flat[at] += np.add.reduce(zeros, initial=complex(-0.0, -0.0))
 
 
 def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
@@ -172,39 +257,66 @@ def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
 
     The coherent drive is expanded as sum_j alpha^j/sqrt(j!) |j>; term j is
     reached by j applications of the dressed port-1 creation operator, so the
-    whole expansion is a single accumulation loop.  Two buffers alternate as
-    the raised vector, and each step works only on the corner its photon
-    number can reach.
+    whole expansion is a single accumulation loop.
+
+    Every raising step adds one photon, so after j drive steps the vector
+    lies on the single plane x0 + x1 + x2 = n2 + n3 + j.  It is carried as
+    that plane alone, a (d1, d2) array indexed by (x1, x2) with x0 implied,
+    and ``out`` gets ``amp * plane`` on the plane's in-box cells only.
+
+    No bit moves against a whole-box update.  Each retained cell gets the
+    same nonzero terms in the same order (axis 0, 1, 2) from a +0 start,
+    each product written as table times vector, and the same division.
+    Every skipped term, and every table zero the plane meets outside the
+    box, is a product with an exact zero: it adds +-0 to a value that is
+    never -0.  The one place a -0 can arise is ``gauss * plane`` on the
+    first plane, when the product underflows; a whole-box update would then
+    add amp * (+0) there at every later step, so those are settled at the
+    end.  Once the plane passes the box's far corner no other amplitude
+    changes, and only the running amplitude goes on.
     """
+    d0, d1, d2 = dims
+    top = d0 + d1 + d2 - 3        # the last plane with a cell in the box
+    planes = max(top, n2 + n3) + 1
     tables = tuple(_sqrt_table(d) for d in dims)
-    vec = np.zeros(dims, dtype=complex)
-    spare = np.zeros(dims, dtype=complex)
-    vec[0, 0, 0] = 1.0
-    reach = 0
+    vec = np.zeros((d1, d2), dtype=complex)
+    spare = np.zeros((d1, d2), dtype=complex)
+    vec[0, 0] = 1.0
+    plane = 0
     for row, n in ((1, n2), (2, n3)):
-        ctabs = _creation_tables(U[row, :], tables)
+        ptabs = _plane_tables(U[row, :], tables, planes)
         for _ in range(n):
-            _apply_dressed_creation(vec, spare, ctabs, reach)
+            plane += 1
+            _raise_plane(vec, spare, ptabs, plane)
             vec, spare = spare, vec
-            reach += 1
         if n:
             vec /= math.sqrt(math.factorial(n))
 
+    out = np.zeros(dims, dtype=complex)
+    cells = _PlaneCells(out)
     gauss = math.exp(-0.5 * abs(alpha) ** 2)
-    out = gauss * vec
-    ctabs = _creation_tables(U[0, :], tables)
+    first = plane
+    if first <= top:
+        cells.put(first, gauss * vec)
+    ptabs = _plane_tables(U[0, :], tables, planes)
     # gauss alpha^j / sqrt(j!) as a running product: j! overflows a float
     # past j = 170
     amp = complex(gauss)
+    amps = []
     for j in range(1, j_max + 1):
-        corner = _apply_dressed_creation(vec, spare, ctabs, reach)
-        np.divide(spare[corner], math.sqrt(j), out=vec[corner])
-        reach += 1
+        plane += 1
+        if plane <= top:
+            _raise_plane(vec, spare, ptabs, plane)
+            np.divide(spare, math.sqrt(j), out=vec)
         amp *= alpha / math.sqrt(j)
         if amp != 0.0:
-            out[corner] += amp * vec[corner]
+            amps.append(amp)
+            if plane <= top:
+                cells.add(plane, amp, vec)
         if abs(amp) < 1e-200:
             break
+    if amps and first <= top:
+        cells.settle_zeros(first, amps)
     return out
 
 

@@ -147,8 +147,10 @@ def series_exp(p: FormalSeries) -> FormalSeries:
     out = np.zeros(shape, dtype=complex)
     out[(0,) * len(shape)] = 1.0
     top = [1] * len(shape)
-    for exp in np.argwhere(p.coeffs).tolist():
-        c = complex(p.coeffs[tuple(exp)])
+    # the terms in row-major order, found on the flat block
+    terms = np.flatnonzero(p.coeffs)
+    for exp, c in zip(np.transpose(np.unravel_index(terms, shape)).tolist(),
+                      p.coeffs.reshape(-1)[terms].tolist()):
         moved = [(axis, e) for axis, e in enumerate(exp) if e]
         nmax = min(p.orders[axis] // e for axis, e in moved)
         # only the moved axes' slices differ between src, dst and the box

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import CutoffInadequate, HeraldImpossible, OutOfTableRange
+from .errors import CutoffInadequate, HeraldImpossible, OutOfTableRange, UnknownFamily
 from .moments import NORM_FLOOR, displaced_frame
 from .oracle import TAIL_FRACTION, FockVector, HeraldSpec, fix_global_phase
 
@@ -52,12 +52,12 @@ def pattern_for_label(label: str) -> tuple[int, int, int, int]:
     """Herald pattern for a family name like ``psi7``."""
     name = label.strip().lower()
     if not name.startswith("psi"):
-        raise ValueError(f"unknown family label {label!r}")
+        raise UnknownFamily(f"unknown family label {label!r}")
     try:
         index = int(name[3:])
         return LABELS[index]
     except (ValueError, KeyError):
-        raise ValueError(f"unknown family label {label!r}") from None
+        raise UnknownFamily(f"unknown family label {label!r}") from None
 
 
 @dataclass(frozen=True)

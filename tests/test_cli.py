@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixport import VerificationFailed, scan
-from sixport.cli import main
+from sixport import UnknownFamily, ValidationError, VerificationFailed, scan
+from sixport.cli import FLAGS, main
 from sixport.verification import run_verification
 
 
@@ -150,6 +150,19 @@ def test_scan_rejects_bad_ranges(capsys, flags):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--family", "psi99", "--quantity", "prob", "--res", "2"),
+    ("optimize", "--family", "psi99"),
+])
+def test_unknown_family_is_a_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    message = FLAGS["scan"][0].message.replace("<label>", "psi99")
+    assert json.loads(err) == {"error": "UnknownFamily", "message": message}
+    assert issubclass(UnknownFamily, ValidationError)
+    assert issubclass(UnknownFamily, ValueError)
 
 
 def test_optimize_psi16(capsys):

@@ -1,4 +1,4 @@
-"""The corner-only raising loop of the oracle against a whole-box reference,
+"""The oracle's raising loop against a whole-box reference,
 the oracle box budget, the drive limit, the default herald box, and series
 index lookup."""
 
