@@ -301,6 +301,7 @@ def _cmd_state(args) -> str:
     spec = _spec_from_args(args)
     pattern = (spec.n2, spec.n3, spec.m2, spec.m3)
     label = f"psi{PATTERNS[pattern]}" if pattern in PATTERNS else "general"
+    _CUTOFF.check(args.cutoff)
     if args.method == "closed":
         st = table1_coeffs(spec, compose(spec.phi))
         return _to_json({
@@ -331,6 +332,7 @@ def _cmd_moments(args) -> str:
     spec = _spec_from_args(args)
     _require(args, ["k", "l"])
     k, l = _K.check(args.k), _L.check(args.l)
+    _CUTOFF.check(args.cutoff)
     if args.method == "closed":
         st = table1_coeffs(spec, compose(spec.phi))
         value = moment(st, k, l)
@@ -343,6 +345,7 @@ def _cmd_moments(args) -> str:
 
 def _cmd_quadratures(args) -> str:
     spec = _spec_from_args(args)
+    _CUTOFF.check(args.cutoff)
     if args.method == "closed":
         st = table1_coeffs(spec, compose(spec.phi))
         report = quadratures(st)

@@ -11,9 +11,10 @@ cutoff) is exact for the retained amplitudes, not an approximation.
 
 Each creation operator adds one photon, so after j raising steps the state
 lies on the single plane x0 + x1 + x2 = j + const.  The raising loop carries
-that plane alone and writes it into the box on its in-box cells only; every
-retained amplitude gets the same terms, in the same order and with the same
-rounding, as an update of the whole box would give it (``_transformed_output``).
+that plane alone (``_planes``) and no box is held: ``herald_state`` keeps the
+one column it reads and ``herald_distribution`` a plane-sized running sum of
+|amplitude|^2.  Every retained amplitude gets the same terms, in the same
+order and with the same rounding, as an update of the whole box would give it.
 The loop stays in the plain number basis and uses no displaced-frame identity,
 so it remains independent of the closed forms it checks.
 """
@@ -40,12 +41,12 @@ RESIDUAL_TOL = 1e-8      # max probability a herald distribution may miss
 # Largest accepted |alpha|.  The closed forms go up to |alpha|^8 (psi16's
 # norm), which stays finite here; far beyond it they overflow to inf/NaN.
 ALPHA_MAX = 1e6
-# Largest oracle box in complex cells: 64 MiB per buffer, of which the
-# raising loop holds about five.  The largest box the package asks for
-# itself inside the optimisation box, (223, 116, 116) = 3.0M cells, is the
-# default herald box at |alpha| = 10, phi = 0, n2 = n3 = 1.  A larger
-# cutoff or herald box is refused with WorkTooLarge before anything is
-# allocated.
+# Largest oracle box in cells, a work budget: the oracle holds two (d1, d2)
+# planes, not the box, and its raising loop sweeps one plane per photon
+# number, so the cells it visits are of the box's order.  The largest box the
+# package asks for itself inside the optimisation box, (223, 116, 116) = 3.0M
+# cells, is the default herald box at |alpha| = 10, phi = 0, n2 = n3 = 1.  A
+# larger cutoff or herald box is refused with WorkTooLarge before any work.
 BOX_CELLS_MAX = 2 ** 22
 # Largest |alpha| the oracle accepts.  The raising loop stops once the drive's
 # running amplitude exp(-|alpha|^2/2) |alpha|^j / sqrt(j!) falls below 1e-200;
@@ -194,86 +195,19 @@ def _raise_plane(vec: np.ndarray, out: np.ndarray, ptabs, plane: int) -> None:
         shifted += c2 * vec[:, :-1]
 
 
-class _PlaneCells:
-    """Where each photon-number plane x0 + x1 + x2 = N meets the box ``out``.
+def _planes(U: np.ndarray, n2: int, n3: int, alpha: complex,
+            dims: tuple[int, int, int], j_max: int):
+    """Yield (plane, amp, vec) for each term of U (|alpha> |n2> |n3>) in the box ``dims``.
 
-    A plane is an (x1, x2) array with x0 implied.  Planes d1 + d2 - 2 up to
-    d0 - 1 lie wholly in the box and are reached as strided views of ``out``;
-    any other plane through its in-box cells, listed once per call in order
-    of x1 + x2 so that each plane's cells are one contiguous run.
-    """
-
-    def __init__(self, out: np.ndarray):
-        d0, d1, d2 = out.shape
-        area = d1 * d2
-        size = out.itemsize
-        x1, x2 = np.indices((d1, d2)).reshape(2, -1)
-        diag = x1 + x2
-        self.order = np.argsort(diag, kind="stable")
-        # flat box index of (N - x1 - x2, x1, x2), less N * area
-        self.offset = (x1 * d2 + x2 - diag * area)[self.order]
-        self.starts = np.searchsorted(diag[self.order], np.arange(d1 + d2)).tolist()
-        self.inner = d1 + d2 - 2
-        self.whole = np.ndarray((max(0, d0 - self.inner), d1, d2), complex, buffer=out,
-                                offset=min(self.inner, d0) * area * size,
-                                strides=(area * size, (d2 - area) * size, (1 - area) * size))
-        self.flat = out.reshape(-1)
-        self.d0, self.area = d0, area
-
-    def _band(self, plane: int):
-        """Flat box indices of the plane's in-box cells, and their plane positions."""
-        run = slice(self.starts[max(0, plane - self.d0 + 1)],
-                    self.starts[min(plane, self.inner) + 1])
-        return self.offset[run] + plane * self.area, self.order[run]
-
-    def put(self, plane: int, values: np.ndarray) -> None:
-        """Box cells of ``plane`` = ``values``."""
-        at, picks = self._band(plane)
-        self.flat[at] = values.reshape(-1)[picks]
-
-    def add(self, plane: int, amp: complex, vec: np.ndarray) -> None:
-        """Box cells of ``plane`` += amp * vec."""
-        if self.inner <= plane < self.d0:
-            cells = self.whole[plane - self.inner]
-            cells += amp * vec
-        else:
-            at, picks = self._band(plane)
-            self.flat[at] += amp * vec.reshape(-1)[picks]
-
-    def settle_zeros(self, plane: int, amps) -> None:
-        """Box cells of ``plane`` += amp * (+0), for every amp in ``amps``.
-
-        That moves no value: it turns a -0 into +0 unless every such product
-        is -0, which a sum of signed zeros reproduces in any order.
-        """
-        zeros = np.multiply(amps, np.zeros(1, dtype=complex))
-        at, _ = self._band(plane)
-        self.flat[at] += np.add.reduce(zeros, initial=complex(-0.0, -0.0))
-
-
-def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
-                        dims: tuple[int, int, int], j_max: int) -> np.ndarray:
-    """Output-basis amplitudes of U (|alpha> |n2> |n3>) inside the box ``dims``.
-
-    The coherent drive is expanded as sum_j alpha^j/sqrt(j!) |j>; term j is
-    reached by j applications of the dressed port-1 creation operator, so the
-    whole expansion is a single accumulation loop.
-
-    Every raising step adds one photon, so after j drive steps the vector
-    lies on the single plane x0 + x1 + x2 = n2 + n3 + j.  It is carried as
-    that plane alone, a (d1, d2) array indexed by (x1, x2) with x0 implied,
-    and ``out`` gets ``amp * plane`` on the plane's in-box cells only.
-
-    No bit moves against a whole-box update.  Each retained cell gets the
-    same nonzero terms in the same order (axis 0, 1, 2) from a +0 start,
-    each product written as table times vector, and the same division.
-    Every skipped term, and every table zero the plane meets outside the
-    box, is a product with an exact zero: it adds +-0 to a value that is
-    never -0.  The one place a -0 can arise is ``gauss * plane`` on the
-    first plane, when the product underflows; a whole-box update would then
-    add amp * (+0) there at every later step, so those are settled at the
-    end.  Once the plane passes the box's far corner no other amplitude
-    changes, and only the running amplitude goes on.
+    The drive sum_j alpha^j/sqrt(j!) |j> is reached by j raisings with the
+    dressed port-1 creation operator, each adding one photon, so term j lies
+    on the plane x0 + x1 + x2 = n2 + n3 + j.  ``vec`` is that plane as a
+    (d1, d2) array with x0 implied, overwritten by the next step; the term's
+    amplitudes are ``amp * vec``, and +-0 where x0 lies outside the box.  The
+    first yield is the ancilla plane with amp = exp(-|alpha|^2/2), then each
+    nonzero drive term in plane order, with ``vec`` None past the box's far
+    corner.  Each cell gets the terms a whole-box update gives it, in the
+    same order (axis 0, 1, 2) from +0 and with the same rounding.
     """
     d0, d1, d2 = dims
     top = d0 + d1 + d2 - 3        # the last plane with a cell in the box
@@ -292,17 +226,12 @@ def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
         if n:
             vec /= math.sqrt(math.factorial(n))
 
-    out = np.zeros(dims, dtype=complex)
-    cells = _PlaneCells(out)
     gauss = math.exp(-0.5 * abs(alpha) ** 2)
-    first = plane
-    if first <= top:
-        cells.put(first, gauss * vec)
+    yield plane, gauss, vec
     ptabs = _plane_tables(U[0, :], tables, planes)
     # gauss alpha^j / sqrt(j!) as a running product: j! overflows a float
     # past j = 170
     amp = complex(gauss)
-    amps = []
     for j in range(1, j_max + 1):
         plane += 1
         if plane <= top:
@@ -310,14 +239,45 @@ def _transformed_output(U: np.ndarray, n2: int, n3: int, alpha: complex,
             np.divide(spare, math.sqrt(j), out=vec)
         amp *= alpha / math.sqrt(j)
         if amp != 0.0:
-            amps.append(amp)
-            if plane <= top:
-                cells.add(plane, amp, vec)
+            yield plane, amp, (vec if plane <= top else None)
         if abs(amp) < 1e-200:
             break
-    if amps and first <= top:
-        cells.settle_zeros(first, amps)
-    return out
+
+
+def _column(planes, x1: int, x2: int, d0: int) -> np.ndarray:
+    """Amplitudes at (x0, x1, x2), x0 = 0..d0-1, from the yields of ``_planes``.
+
+    A cell is +0 + amp * vec of its plane.  The first plane's cell is amp * vec
+    itself, -0 where that underflows, plus amp * (+0) for each later term, as
+    a whole-box update adds them.  Each product is taken on the plane array and
+    then indexed, so it rounds as the array loop does.
+    """
+    column = np.zeros(d0, dtype=complex)
+    zero = np.zeros(1, dtype=complex)
+    plane, amp, vec = next(planes)
+    first = plane - x1 - x2
+    if 0 <= first < d0:
+        column[first] = (amp * vec)[x1, x2]
+    for plane, amp, vec in planes:
+        x0 = plane - x1 - x2
+        if 0 <= x0 < d0:
+            column[x0] += (amp * vec)[x1, x2]
+        if 0 <= first < d0:
+            column[first] += (amp * zero)[0]
+    return column
+
+
+def _plane_sum(planes, dims: tuple[int, int, int]) -> np.ndarray:
+    """sum over x0 of |amplitude|^2 at each (x1, x2), added as np.sum(axis=0) adds the box."""
+    d0, d1, d2 = dims
+    if d1 * d2 == 1:
+        # numpy sums a (d0, 1, 1) box pairwise, not in x0 order; so sum its one column
+        return np.sum(np.abs(_column(planes, 0, 0, d0)) ** 2).reshape(1, 1)
+    probs = np.zeros((d1, d2))
+    for _, amp, vec in planes:
+        if vec is not None:
+            probs += np.abs(amp * vec) ** 2
+    return probs
 
 
 def herald_state(spec: HeraldSpec, cutoff: int | None = None) -> tuple[FockVector, float]:
@@ -338,8 +298,8 @@ def herald_state(spec: HeraldSpec, cutoff: int | None = None) -> tuple[FockVecto
     if j_max < 0:
         raise HeraldImpossible(
             f"herald ({spec.m2},{spec.m3}) unreachable below cutoff {cutoff}")
-    out = _transformed_output(U, spec.n2, spec.n3, spec.alpha, dims, j_max)
-    amps = np.array(out[:, spec.m2, spec.m3])
+    amps = _column(_planes(U, spec.n2, spec.n3, spec.alpha, dims, j_max),
+                   spec.m2, spec.m3, dims[0])
 
     probability = float(np.sum(np.abs(amps) ** 2))
     if probability < PROB_FLOOR:
@@ -405,9 +365,7 @@ def herald_distribution(n2: int, n3: int, alpha_mag: float, phi: float,
     j_tail = math.ceil(alpha_mag ** 2 + 12.0 * alpha_mag + 30.0)
     j_box = cutoff + 2 * herald_max - n2 - n3
     j_max = max(0, min(j_tail, j_box))
-    out = _transformed_output(U, n2, n3, spec.alpha, dims, j_max)
-
-    probs = np.sum(np.abs(out) ** 2, axis=0)
+    probs = _plane_sum(_planes(U, n2, n3, spec.alpha, dims, j_max), dims)
     dist: dict[tuple[int, int], float] = {}
     total = 0.0
     for m2 in range(herald_max + 1):

@@ -75,18 +75,35 @@ BOUNDS = [(command, flag, end) for command, flags in FLAGS.items() for flag in f
           for end in ("low", "high") if getattr(flag, end) is not None]
 
 
-@pytest.mark.parametrize("command, flag, end", BOUNDS,
-                         ids=[f"{c}{f.name}-{e}" for c, f, e in BOUNDS])
-def test_value_at_the_bound_runs_and_one_past_it_is_refused(command, flag, end):
+#: the same walk on the other methods of the subcommands that take --method
+METHOD_BOUNDS = [(command, method, flag, end) for command, flag, end in BOUNDS
+                 for f in FLAGS[command] if f.name == "--method"
+                 for method in f.choices if method != "oracle"]
+
+
+def walk_bound(argv, flag, end):
     edge = getattr(flag, end)
-    code, out, err = run(*BASE[command], flag.name, str(edge))
+    code, out, err = run(*argv, flag.name, str(edge))
     assert (code, err) == (0, ""), err
     assert out
     past = edge - 1 if end == "low" else edge + 1
-    code, out, err = run(*BASE[command], flag.name, str(past))
+    code, out, err = run(*argv, flag.name, str(past))
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "ValidationError", "message": flag.message}
+
+
+@pytest.mark.parametrize("command, flag, end", BOUNDS,
+                         ids=[f"{c}{f.name}-{e}" for c, f, e in BOUNDS])
+def test_value_at_the_bound_runs_and_one_past_it_is_refused(command, flag, end):
+    walk_bound(BASE[command], flag, end)
+
+
+@pytest.mark.parametrize("command, method, flag, end", METHOD_BOUNDS,
+                         ids=[f"{c}-{m}{f.name}-{e}" for c, m, f, e in METHOD_BOUNDS])
+def test_bounds_hold_on_every_method(command, method, flag, end):
+    assert BASE[command][-2:] == ["--method", "oracle"]
+    walk_bound([*BASE[command][:-1], method], flag, end)
 
 
 # -- --config against the table --------------------------------------------------

@@ -1,4 +1,4 @@
-"""The oracle's raising loop against a whole-box reference,
+"""The oracle's raising loop against a whole-box reference, its memory,
 the oracle box budget, the drive limit, the default herald box, and series
 index lookup."""
 
@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from sixport import (
 from sixport import oracle
 from sixport.cli import main
 from sixport.series import FormalSeries, _axes
+from test_oracle_plane import assert_route_gives_box
 
 
 # -- whole-box reference: every step touches the full box ---------------------
@@ -78,10 +80,8 @@ def test_corner_loop_matches_whole_box_for_herald_states():
         cutoff = default_cutoff(spec)
         dims = (cutoff + 1, spec.m2 + 1, spec.m3 + 1)
         j_max = cutoff + spec.m2 + spec.m3 - spec.n2 - spec.n3
-        U = compose(phi)
-        got = oracle._transformed_output(U, spec.n2, spec.n3, spec.alpha, dims, j_max)
-        want = reference_output(U, spec.n2, spec.n3, spec.alpha, dims, j_max)
-        assert np.array_equal(got, want), pattern
+        case = (compose(phi), spec.n2, spec.n3, spec.alpha, dims, j_max)
+        assert_route_gives_box(case, reference_output(*case))
 
 
 @pytest.mark.parametrize("herald_max", [0, 1, 7, 24])
@@ -94,11 +94,20 @@ def test_corner_loop_matches_whole_box_for_distributions(herald_max):
         dims = (cutoff + 1, herald_max + 1, herald_max + 1)
         j_tail = math.ceil(alpha ** 2 + 12.0 * alpha + 30.0)
         j_max = max(0, min(j_tail, cutoff + 2 * herald_max - n2 - n3))
-        U = compose(phi)
-        alpha_c = HeraldSpec(n2, n3, 0, 0, alpha, phi).alpha
-        got = oracle._transformed_output(U, n2, n3, alpha_c, dims, j_max)
-        want = reference_output(U, n2, n3, alpha_c, dims, j_max)
-        assert np.array_equal(got, want), (n2, n3)
+        case = (compose(phi), n2, n3, HeraldSpec(n2, n3, 0, 0, alpha, phi).alpha, dims, j_max)
+        assert_route_gives_box(case, reference_output(*case))
+
+
+def test_herald_distribution_holds_no_box():
+    # the default herald box at |alpha| = 10 here is (222, 116, 116): 46 MiB
+    # of complex cells, which the oracle never allocates
+    tracemalloc.start()
+    try:
+        herald_distribution(1, 0, 10.0, 0.0, 115)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 # -- the box budget -------------------------------------------------------------
@@ -109,13 +118,13 @@ class BoxReached(Exception):
 
 @pytest.fixture
 def no_raising(monkeypatch):
-    """Stop any call that gets past the box check before it allocates."""
+    """Stop any call that gets past the box check before the raising loop starts."""
     reached = []
 
     def stub(U, n2, n3, alpha, dims, j_max):
         reached.append(dims)
         raise BoxReached
-    monkeypatch.setattr(oracle, "_transformed_output", stub)
+    monkeypatch.setattr(oracle, "_planes", stub)
     return reached
 
 

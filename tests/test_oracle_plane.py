@@ -3,10 +3,12 @@
 ``corner_output`` below is the raising loop before it was cut to one
 photon-number plane: each step rewrites the whole corner of the box its
 photon number can reach, with two box-sized buffers alternating as the
-raised vector.  ``oracle._transformed_output`` carries only the current
-plane and writes ``out`` on that plane's in-box cells; every skipped update
-would add +-0 to a value that is never -0, so the two must agree byte for
-byte, down to the sign of every zero.
+raised vector.  ``oracle._planes`` carries only the current plane and holds
+no box: ``oracle._column`` reads one column from it and ``oracle._plane_sum``
+adds |amplitude|^2 plane by plane.  Every skipped update would add +-0 to a
+value that is never -0, so each column, and the sum over the signal axis,
+must agree with the corner loop's box byte for byte, down to the sign of
+every zero.
 
 The digests pin the public ``herald_state`` and ``herald_distribution``
 outputs, and ``verify --samples 10 --seed 0``, to the bytes the corner loop
@@ -48,7 +50,7 @@ def corner_creation(vec, out, ctabs, reach):
 
 
 def corner_output(U, n2, n3, alpha, dims, j_max):
-    """``_transformed_output`` on box-sized buffers, one corner per step."""
+    """The box the terms of ``oracle._planes`` add up to, on box-sized buffers, one corner per step."""
     tables = tuple(np.sqrt(np.arange(d, dtype=float)) for d in dims)
     vec = np.zeros(dims, dtype=complex)
     spare = np.zeros(dims, dtype=complex)
@@ -79,6 +81,17 @@ def corner_output(U, n2, n3, alpha, dims, j_max):
     return out
 
 
+def assert_route_gives_box(case, box):
+    """Every column of ``box`` and its axis-0 |.|^2 sum, by bytes, from ``oracle._planes``."""
+    dims = case[4]
+    for x1 in range(dims[1]):
+        for x2 in range(dims[2]):
+            column = oracle._column(oracle._planes(*case), x1, x2, dims[0])
+            assert column.tobytes() == box[:, x1, x2].tobytes(), (x1, x2)
+    probs = oracle._plane_sum(oracle._planes(*case), dims)
+    assert probs.tobytes() == np.sum(np.abs(box) ** 2, axis=0).tobytes()
+
+
 ENTRIES = [0.0, 0.0, 1.0, -0.6, 0.8j, -0.5j, -0.7 + 0.2j, 0.3 - 0.9j]
 
 
@@ -88,7 +101,7 @@ def raisings(draw):
     n2, n3 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     dims = (draw(st.integers(1, 14)), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
     # up to four planes past the box's far corner, where the plane has left it
-    j_max = draw(st.integers(0, sum(dims) + 1 - n2 - n3))
+    j_max = draw(st.integers(0, max(0, sum(dims) + 1 - n2 - n3)))
     alpha_mag = draw(st.one_of(st.just(0.0), st.floats(0.0, oracle.DRIVE_ALPHA_MAX)))
     theta = draw(st.floats(-math.pi, math.pi).filter(bool))
     # the device matrix, or one whose exact zeros leave in-box cells
@@ -118,9 +131,12 @@ def _case(phi, n2, n3, alpha, dims, j_max):
 # gauss * plane underflows to -0 on the first plane (phi ~ 1e-300)
 @example(_case(1e-300, 1, 0, 20.0, (3, 2, 2), 5))
 @example(_case(1e-300, 2, 1, 20.0 * np.exp(-2.0j), (5, 4, 4), 3))
+# the same on a box one column wide, whose sum numpy adds pairwise: the -0
+# stays after one drive term, and a later term's amp * (+0) makes it +0
+@example(_case(1e-300, 1, 0, 20.0 * np.exp(-2.0j), (3, 1, 1), 1))
+@example(_case(1e-300, 1, 0, 20.0, (3, 1, 1), 5))
 def test_plane_loop_matches_corner_loop_bytes(case):
-    got = oracle._transformed_output(*case)
-    assert got.tobytes() == corner_output(*case).tobytes()
+    assert_route_gives_box(case, corner_output(*case))
 
 
 def test_plane_loop_matches_corner_loop_for_herald_boxes():
@@ -133,7 +149,7 @@ def test_plane_loop_matches_corner_loop_for_herald_boxes():
             dims = (cutoff + 1, herald_max + 1, herald_max + 1)
             j_max = cutoff + 2 * herald_max - n2 - n3
             case = (compose(phi), n2, n3, alpha, dims, j_max)
-            assert oracle._transformed_output(*case).tobytes() == corner_output(*case).tobytes()
+            assert_route_gives_box(case, corner_output(*case))
 
 
 # -- digests of the public routes ------------------------------------------------
