@@ -31,9 +31,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, HeraldImpossible, ValidationError
 from .interferometer import compose
-from .moments import MAX_POWER, expectation_quadratures, moment, quadratures, squeeze_db
+from .moments import (MAX_POWER, NORM_FLOOR, expectation_quadratures, moment, quadratures,
+                      squeeze_db)
 from .oracle import (
     HeraldSpec,
     default_cutoff,
@@ -304,6 +305,8 @@ def _cmd_state(args) -> str:
     _CUTOFF.check(args.cutoff)
     if args.method == "closed":
         st = table1_coeffs(spec, compose(spec.phi))
+        if st.norm < NORM_FLOOR:   # as moments and quadratures refuse it
+            raise HeraldImpossible(f"state {st.label} has zero norm")
         return _to_json({
             "c0": st.c0, "c1": st.c1, "c2": st.c2, "seed": st.seed,
             "norm": st.norm, "probability": st.probability,
@@ -311,6 +314,8 @@ def _cmd_state(args) -> str:
         })
     if args.method == "general":
         res = general_heralded(spec, compose(spec.phi))
+        if res.norm < NORM_FLOOR:
+            raise HeraldImpossible(f"state {label} has zero norm")
         padded = list(res.coeffs) + [0j] * max(0, 3 - len(res.coeffs))
         return _to_json({
             "c0": padded[0], "c1": padded[1], "c2": padded[2],

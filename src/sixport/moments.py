@@ -1,20 +1,20 @@
 """Operator moments <a^dagger^k a^l> for the generated states.
 
-A closed-form state (c0 + c1 a^dagger + c2 a^dagger^2)|beta> equals
-D(beta)|v>, with |v> on |0>, |1>, |2> only, because
-D(beta)^dagger a^dagger D(beta) = a^dagger + conj(beta).
-``displaced_frame`` builds v, its squared amplitudes and the norm |v|^2,
-and ``frame_moments`` the moments <a>, <a^dagger a>, <a^2> in that frame.
-Quadrature variances do not change under a displacement, so they come from
-those three with no |beta|^2-sized terms to cancel; ``moment`` undoes the
-displacement by a binomial sum.  The grid kernel in ``scan`` runs the same two helpers over
-whole (|alpha|, phi) grids.
+A state sum_{d < L} c_d a^dagger^d |beta> equals D(beta)|v>, v on the levels
+|0> .. |L-1>, as D(beta)^dagger a^dagger D(beta) = a^dagger + conj(beta); the
+paper's states (c0 + c1 a^dagger + c2 a^dagger^2)|beta> are L = 3.
+``displaced_frame`` builds v, its squares and the norm |v|^2, ``frame_moments``
+the moments <a>, <a^dagger a>, <a^2> of |v>.  A displacement leaves the
+quadrature variances unchanged, so they come from those three with no
+|beta|^2-sized terms to cancel; ``moment`` undoes the displacement by a
+binomial sum.  ``scan`` runs the same two helpers over whole grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,18 +24,17 @@ from .oracle import FockVector, expectation
 NORM_FLOOR = 1e-28   # below this the herald is analytically forbidden
 MAX_POWER = 8        # scope guard on moment powers
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def _abs2(z):
-    return z.real ** 2 + z.imag ** 2
-
 
 def _plus(a, b):
     """a + b, with None standing for an exact zero."""
     if a is None:
         return b
     return a if b is None else a + b
+
+
+def _scaled(k, a):
+    """k a for a real k, skipped when k is 1, with None standing for zero."""
+    return a if a is None or k == 1 else k * a
 
 
 # Every complex product below is written np.multiply(left, right).  numpy's
@@ -49,63 +48,70 @@ def _plus(a, b):
 # it would enter is skipped.  A skipped term would only add an exact zero,
 # so the values are those of the full sums.
 
-def displaced_frame(c0, c1, c2, beta):
-    """(v, squares, norm) with (c0 + c1 a^dagger + c2 a^dagger^2)|beta> = D(beta)|v>.
+def displaced_frame(coeffs, beta):
+    """(v, squares, norm) with sum_d coeffs[d] a^dagger^d |beta> = D(beta)|v>.
 
-    ``v`` = (v0, v1, v2) holds the amplitudes on |0>, |1>, |2>:
-    v0 = c0 + c1 conj(beta) + c2 conj(beta)^2, v1 = c1 + 2 c2 conj(beta) and
-    v2 = sqrt(2) c2.  ``squares`` holds |v0|^2, |v1|^2, |v2|^2, and
-    ``norm`` = |v|^2 is the state's norm squared, |beta> being normalized.
-    A coefficient may be None (zero); a level it leaves zero is None in
-    ``v`` and ``squares``.  Works elementwise on arrays.
+    ``v`` holds the amplitudes on |0> .. |L-1>, L = len(coeffs):
+    v_s = sqrt(s!) sum_{d >= s} C(d, s) c_d conj(beta)^(d - s), by Horner's
+    rule in conj(beta).  ``squares`` holds the |v_s|^2, and ``norm`` = |v|^2
+    is the state's norm squared, |beta> being normalized.  A coefficient may
+    be None (zero); a level it leaves zero, always a suffix of the levels, is
+    None in ``v`` and ``squares``.  Works elementwise on arrays.
     """
     beta_c = np.conjugate(beta)
-    t = None if c2 is None else np.multiply(c2, beta_c)
-    s = _plus(c1, t)
-    v = (c0 if s is None else _plus(c0, np.multiply(s, beta_c)),
-         _plus(c1, None if t is None else 2.0 * t),
-         None if c2 is None else _SQRT2 * c2)
-    squares = tuple(None if x is None else _abs2(x) for x in v)
-    return v, squares, _plus(_plus(squares[0], squares[1]), squares[2])
+    top = len(coeffs) - 1
+    # each level's Horner sum starts from this one product, times C(top, s)
+    head = None if coeffs[top] is None else np.multiply(coeffs[top], beta_c)
+    v = []
+    for s in range(top + 1):
+        h = coeffs[top] if s == top else _scaled(math.comb(top, s), head)
+        for d in range(top - 1, s - 1, -1):
+            if d < top - 1 and h is not None:
+                h = np.multiply(h, beta_c)
+            h = _plus(_scaled(math.comb(d, s), coeffs[d]), h)
+        v.append(_scaled(math.sqrt(math.factorial(s)), h))
+    squares = tuple(None if x is None else x.real ** 2 + x.imag ** 2 for x in v)
+    return tuple(v), squares, reduce(_plus, squares)
 
 
 def frame_moments(v, squares, norm):
-    """(<a>, <a^dagger a>, <a^2>) of the three-level vector ``v``, over ``norm``.
+    """(<a>, <a^dagger a>, <a^2>) of the frame vector ``v``, over ``norm``.
 
-    ``v`` and its ``squares`` are as ``displaced_frame`` returns them.  These
-    are the moments in the displaced frame; the quadrature variances built
-    from them are those of D(beta)|v> for every beta.  A moment with no
-    nonzero term is 0.0.
+    ``v`` and its ``squares`` are as ``displaced_frame`` returns them.  Over
+    the levels present, <a> = sum_s sqrt(s) conj(v_{s-1}) v_s, <a^dagger a> =
+    sum_s s |v_s|^2 and <a^2> = sum_s sqrt(s (s - 1)) conj(v_{s-2}) v_s, the
+    moments of |v>.  A sum with no term is 0.0.
     """
-    v0, v1, v2 = v
-    if v1 is None:
-        return 0.0, 0.0, 0.0
-    v0_c = np.conjugate(v0)
-    first = np.multiply(v0_c, v1)
-    n_bar = squares[1]
-    if v2 is None:
-        return first / norm, n_bar / norm, 0.0
-    first = first + _SQRT2 * np.multiply(np.conjugate(v1), v2)
-    n_bar = n_bar + 2.0 * squares[2]
-    return first / norm, n_bar / norm, _SQRT2 * np.multiply(v0_c, v2) / norm
+    v_c = []
+    first = n_bar = None
+    for s in range(1, len(v)):
+        if v[s] is None:   # the zero levels are a suffix
+            break
+        v_c.append(np.conjugate(v[s - 1]))
+        first = _plus(first, _scaled(math.sqrt(s), np.multiply(v_c[s - 1], v[s])))
+        n_bar = _plus(n_bar, _scaled(s, squares[s]))
+    # <a^2> last, once the undivided sums are freed: fewer live grid-sized arrays
+    first, n_bar = (0.0, 0.0) if first is None else (first / norm, n_bar / norm)
+    a_sq = reduce(_plus, [_scaled(math.sqrt(s * (s - 1)), np.multiply(v_c[s - 2], v[s]))
+                          for s in range(2, len(v_c) + 1)], None)
+    return first, n_bar, 0.0 if a_sq is None else a_sq / norm
 
 
 def _state_frame(state):
-    """The displaced-frame vector of a closed-form state and its squares, as
-    Python scalars."""
+    """The displaced-frame vector of a state and its squares, as Python scalars."""
     if state.norm < NORM_FLOOR:
-        raise HeraldImpossible(f"state {state.label} has zero norm")
-    v, squares, _ = displaced_frame(state.c0, state.c1, state.c2, state.seed)
+        raise HeraldImpossible(f"state {getattr(state, 'label', 'general')} has zero norm")
+    v, squares, _ = displaced_frame(state.coeffs, state.seed)
     return [complex(x) for x in v], [float(x) for x in squares]
 
 
 def moment(state, k: int, l: int) -> complex:
-    """<a^dagger^k a^l> on a closed-form state.
+    """<a^dagger^k a^l> on a ``ClosedFormState`` or ``GeneralHeraldResult``.
 
-    ``state`` carries coefficients c0, c1, c2, the coherent seed beta, and
-    the norm.  With a -> a + beta in the displaced frame the moment is the
-    sum of C(k, i) C(l, j) conj(beta)^(k-i) beta^(l-j) <a^dagger^i a^j>_v,
-    and each frame moment is a sum over at most three levels.
+    ``state`` carries ``coeffs``, the coherent seed beta, and the norm.  With
+    a -> a + beta in the displaced frame the moment is the sum of
+    C(k, i) C(l, j) conj(beta)^(k-i) beta^(l-j) <a^dagger^i a^j>_v, and each
+    frame moment is a sum over the frame's levels.
     """
     if not (0 <= k <= MAX_POWER and 0 <= l <= MAX_POWER):
         raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
@@ -113,11 +119,11 @@ def moment(state, k: int, l: int) -> complex:
     beta = complex(state.seed)
     beta_c = beta.conjugate()
     total = 0.0 + 0.0j
-    for i in range(min(k, 2) + 1):
-        for j in range(min(l, 2) + 1):
+    for i in range(min(k, len(v) - 1) + 1):
+        for j in range(min(l, len(v) - 1) + 1):
             inner = sum(v[s + i].conjugate() * v[s + j]
                         * math.sqrt(math.perm(s + i, i) * math.perm(s + j, j))
-                        for s in range(3 - max(i, j)))
+                        for s in range(len(v) - max(i, j)))
             total += (math.comb(k, i) * math.comb(l, j)
                       * beta_c ** (k - i) * beta ** (l - j) * inner)
     return complex(total / state.norm)

@@ -1,12 +1,12 @@
 """Parameter-space landscapes and squeezing optimization.
 
 Each cell of an (|alpha|, phi) grid is the family's state written as
-D(u11 alpha)|v> with v on three levels, built and reduced to moments by the
-same two helpers as a single state (``moments.displaced_frame`` and
-``frame_moments``), vectorized with numpy.  A computed cell is bit-identical
-to the same point evaluated alone.  Heralds that are analytically forbidden
-at a grid point (zero norm) get probability 0 and a NaN sentinel in variance
-grids; every consumer here treats NaN as "no state".
+D(u11 alpha)|v>, v on the L = 3 levels of (c0, c1, c2), built and reduced to
+moments by the same two helpers as a single state (``moments.displaced_frame``
+and ``frame_moments``), vectorized with numpy.  A computed cell is
+bit-identical to the same point evaluated alone.  Heralds that are
+analytically forbidden at a grid point (zero norm) get probability 0 and a
+NaN sentinel in variance grids; every consumer here treats NaN as "no state".
 
 No grid work is wasted:
 
@@ -168,7 +168,7 @@ def _cell_fields(levels, diag, alpha, quantities):
     A block only scales each level by its power of alpha; zero levels are
     skipped, and the forbidden-cell guard runs only when a cell is forbidden.
     """
-    v, squares, norm = displaced_frame(*times_alpha(levels, alpha), diag * alpha)
+    v, squares, norm = displaced_frame(times_alpha(levels, alpha), diag * alpha)
 
     fields = {}
     if "probability" in quantities:

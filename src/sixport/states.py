@@ -6,9 +6,9 @@ normalization, with coefficients that are sums of products of transfer-matrix
 entries, one product per partial matching of the occupied input ports to the
 counted output ports.  This module holds that rule; the norm,
 which is the squared length of the displaced-frame vector v of
-D(u11 alpha)|v> (``moments.displaced_frame``); the success probability,
-the norm times the coherent filtering factor; and the number-basis
-amplitudes of the state.
+D(u11 alpha)|v> (``moments.displaced_frame`` on the three levels
+(c0, c1, c2)); the success probability, the norm times the coherent
+filtering factor; and the number-basis amplitudes of the state.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ class ClosedFormState:
     norm: float
     probability: float
     label: str
+
+    @property
+    def coeffs(self) -> tuple[complex, complex, complex]:
+        return self.c0, self.c1, self.c2
 
 
 def _level_plan(pattern):
@@ -137,9 +141,9 @@ def times_alpha(levels, alpha):
 def normalization(c0, c1, c2, seed):
     """Norm squared of (c0 + c1 a^dagger + c2 a^dagger^2)|seed>, |seed> normalized.
 
-    The squared length of the state's displaced-frame vector.
+    The squared length of the state's three-level displaced-frame vector.
     """
-    return displaced_frame(c0, c1, c2, seed)[2]
+    return displaced_frame((c0, c1, c2), seed)[2]
 
 
 def table1_coeffs(spec: HeraldSpec, U: np.ndarray) -> ClosedFormState:

@@ -14,6 +14,7 @@ import pytest
 from sixport import (
     HeraldSpec,
     PATTERNS,
+    ScanGrid,
     compose,
     default_cutoff,
     general_heralded,
@@ -28,6 +29,7 @@ from sixport import (
     table1_coeffs,
     way1_moment_table,
 )
+from sixport.scan import _fields, _mirrored_axis
 from sixport.states import _poly_fock_vector
 
 GRID = 100
@@ -229,9 +231,14 @@ def test_criterion_07_completeness():
 
 
 def test_criterion_08_symmetry_and_pairing():
+    # both halves of the phi axis are evaluated: scan would copy the
+    # phi > pi half from its mirror
+    alpha_axis = np.linspace(*BOX_ALPHA, GRID)
+    phi_axis = _mirrored_axis(*BOX_PHI, GRID)
     worst_sym = 0.0
-    for index in range(1, 17):
-        grid = scan(f"psi{index}", "probability", BOX_ALPHA, BOX_PHI, GRID)
+    for pattern in PATTERNS:
+        (values,) = _fields(pattern, alpha_axis, phi_axis, ("probability",))
+        grid = ScanGrid(alpha_axis, phi_axis, values, "probability")
         worst_sym = max(worst_sym, symmetry_report(grid))
     worst_pair = 0.0
     for a, b in PAIRED:

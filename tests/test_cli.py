@@ -76,6 +76,18 @@ def test_state_impossible_herald_exit_code(capsys):
     assert json.loads(err)["error"] == "HeraldImpossible"
 
 
+@pytest.mark.parametrize("method, flags", [
+    ("closed", ["--n2", "0", "--n3", "0", "--m2", "1", "--m3", "1", "--alpha", "0", "--phi", "1"]),
+    ("general", ["--n2", "2", "--n3", "0", "--m2", "0", "--m3", "0", "--alpha", "1", "--phi", "0"]),
+])
+def test_state_zero_norm_is_impossible_on_every_method(capsys, method, flags):
+    # the closed and general forms refuse a zero-norm state as the oracle does
+    for m in (method, "oracle"):
+        code, out, err = run_cli(capsys, "state", *flags, "--method", m)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "HeraldImpossible"
+
+
 def test_moments_closed_vs_oracle(capsys):
     flags = ["--n2", "1", "--n3", "1", "--m2", "1", "--m3", "1",
              "--alpha", "2", "--phi", "2", "--k", "2", "--l", "1"]

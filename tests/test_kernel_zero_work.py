@@ -8,6 +8,11 @@ production kernel skips the zero levels, squares each level once and guards
 only grids that hold a forbidden cell.  A skipped term adds an exact zero, so
 the two must agree byte for byte, NaN sentinels included.
 
+The single-state path (``normalization``, ``quadratures`` and ``moment``,
+whose values the CLI prints) is held the same way: to ``dense_frame``, the
+three-level frame written out, and to the three-level binomial sum of the
+moments, byte for byte.
+
 ``full_symmetry_report`` compares every cell with its mirror; the production
 ``symmetry_report`` compares only the phi <= pi half, which holds the same
 differences.
@@ -18,9 +23,10 @@ import math
 import numpy as np
 import pytest
 
-from sixport import HeraldSpec, ScanGrid, compose, symmetry_report, table1_coeffs
+from sixport import (HeraldImpossible, HeraldSpec, ScanGrid, compose, moment, normalization,
+                     quadratures, squeeze_db, symmetry_report, table1_coeffs)
 from sixport.interferometer import closed_form_matrix
-from sixport.moments import NORM_FLOOR, quadrature_variance
+from sixport.moments import MAX_POWER, NORM_FLOOR, quadrature_variance
 from sixport.scan import _fields, _mirrored_axis
 from sixport.states import LABELS
 
@@ -66,22 +72,32 @@ def abs2(z):
     return z.real ** 2 + z.imag ** 2
 
 
+def dense_frame(c0, c1, c2, beta):
+    """(v0, v1, v2) with (c0 + c1 a^dag + c2 a^dag^2)|beta> = D(beta)|v>, written
+    out for three levels: v0 = c0 + c1 conj(beta) + c2 conj(beta)^2,
+    v1 = c1 + 2 c2 conj(beta), v2 = sqrt(2) c2."""
+    beta_c = np.conjugate(beta)
+    t = np.multiply(c2, beta_c)
+    return c0 + np.multiply(c1 + t, beta_c), c1 + 2.0 * t, SQRT2 * c2
+
+
+def dense_frame_moments(v0, v1, v2, norm):
+    """<a>, <a^dag a>, <a^2> of the three-level frame vector, over ``norm``."""
+    first = (np.multiply(np.conjugate(v0), v1)
+             + SQRT2 * np.multiply(np.conjugate(v1), v2)) / norm
+    n_bar = (abs2(v1) + 2.0 * abs2(v2)) / norm
+    return first, n_bar, SQRT2 * np.multiply(np.conjugate(v0), v2) / norm
+
+
 def dense_fields(index, alpha, phi):
     """The three grids, by broadcasting ``alpha`` against ``phi`` in one piece."""
     U = closed_form_matrix(np.exp(-1j * phi))
     diag = U[0, 0]
-    c0, c1, c2 = dense_rows(index, U, alpha)
-    beta_c = np.conjugate(diag * alpha)
-    t = np.multiply(c2, beta_c)
-    v0, v1, v2 = c0 + np.multiply(c1 + t, beta_c), c1 + 2.0 * t, SQRT2 * c2
+    v0, v1, v2 = dense_frame(*dense_rows(index, U, alpha), diag * alpha)
     norm = abs2(v0) + abs2(v1) + abs2(v2)
     fields = {"probability": norm * np.exp((np.abs(diag) ** 2 - 1.0) * alpha ** 2)}
     forbidden = norm < NORM_FLOOR
-    safe = np.where(forbidden, 1.0, norm)
-    first = (np.multiply(np.conjugate(v0), v1)
-             + SQRT2 * np.multiply(np.conjugate(v1), v2)) / safe
-    n_bar = (abs2(v1) + 2.0 * abs2(v2)) / safe
-    a_sq = SQRT2 * np.multiply(np.conjugate(v0), v2) / safe
+    first, n_bar, a_sq = dense_frame_moments(v0, v1, v2, np.where(forbidden, 1.0, norm))
     for name in ("var_x", "var_p"):
         fields[name] = quadrature_variance(name, first, n_bar, a_sq)
         fields[name][forbidden] = np.nan
@@ -150,6 +166,72 @@ def test_table1_coeffs_equal_dense_rows():
                     want = [complex(c) for c in dense_rows(index, U, spec.alpha)]
                     assert (np.array([st.c0, st.c1, st.c2]).tobytes()
                             == np.array(want).tobytes()), (index, phi, alpha_mag, theta)
+
+
+# -- the single-state path ---------------------------------------------------------
+
+def three_level_moment(v, beta, norm, k, l):
+    """<a^dagger^k a^l> as the binomial sum over the three-level frame vector
+    ``v``, written out with its level count."""
+    beta_c = beta.conjugate()
+    total = 0.0 + 0.0j
+    for i in range(min(k, 2) + 1):
+        for j in range(min(l, 2) + 1):
+            inner = sum(v[s + i].conjugate() * v[s + j]
+                        * math.sqrt(math.perm(s + i, i) * math.perm(s + j, j))
+                        for s in range(3 - max(i, j)))
+            total += (math.comb(k, i) * math.comb(l, j)
+                      * beta_c ** (k - i) * beta ** (l - j) * inner)
+    return complex(total / norm)
+
+
+def scalar_points():
+    """(|alpha|, phi, theta): the edges of |alpha| and the phi = 0 and pi
+    lines, with theta zero and not, then seeded interior points."""
+    for alpha_mag in (0.0, 1e-4, 1e3):
+        for phi in (0.0, math.pi):
+            for theta in (0.0, 2.5):
+                yield alpha_mag, phi, theta
+    rng = np.random.default_rng(27)
+    for _ in range(4):
+        yield (float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 2.0 * math.pi)),
+               float(rng.uniform(-math.pi, math.pi)))
+
+
+def same_bytes(got, want):
+    return np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("index", range(1, 17))
+def test_single_state_path_equals_dense_frame(index):
+    """``normalization``, ``quadratures`` and ``moment`` keep the bytes of the
+    three-level frame written out: these are the values the CLI prints."""
+    for alpha_mag, phi, theta in scalar_points():
+        spec = HeraldSpec(*LABELS[index], alpha_mag=alpha_mag, phi=phi, theta=theta)
+        st = table1_coeffs(spec, compose(phi))
+        v = dense_frame(st.c0, st.c1, st.c2, st.seed)
+        squares = [abs2(x) for x in v]
+        norm = squares[0] + squares[1] + squares[2]
+        point = (index, alpha_mag, phi, theta)
+        assert same_bytes(normalization(st.c0, st.c1, st.c2, st.seed), norm), point
+        assert same_bytes(st.norm, float(norm)), point
+        if st.norm < NORM_FLOOR:
+            with pytest.raises(HeraldImpossible):
+                quadratures(st)
+            with pytest.raises(HeraldImpossible):
+                moment(st, 1, 1)
+            continue
+        first, n_bar, a_sq = dense_frame_moments(*v, st.norm)
+        var_x = float(quadrature_variance("var_x", first, n_bar, a_sq))
+        var_p = float(quadrature_variance("var_p", first, n_bar, a_sq))
+        report = quadratures(st)
+        assert same_bytes([report.var_x, report.var_p], [var_x, var_p]), point
+        assert same_bytes(report.squeeze_db_x, squeeze_db(var_x)), point
+        frame = [complex(x) for x in v]
+        for k in range(MAX_POWER + 1):
+            for l in range(MAX_POWER + 1):
+                want = three_level_moment(frame, complex(st.seed), st.norm, k, l)
+                assert same_bytes(moment(st, k, l), want), (point, k, l)
 
 
 # -- symmetry report ---------------------------------------------------------------

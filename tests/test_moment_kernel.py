@@ -1,7 +1,9 @@
-"""The closed-form moment kernel against the series projector route, and the
-single quadrature formula shared by the moments, the oracle and the grids."""
+"""The closed-form moment kernel against the series projector route and, on
+more than three levels, the oracle; and the single quadrature formula shared
+by the moments, the oracle and the grids."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from sixport import (
     evaluate_point,
     expectation,
     expectation_quadratures,
+    general_heralded,
     herald_state,
     moment,
     moment_component,
@@ -19,6 +22,7 @@ from sixport import (
     table1_coeffs,
 )
 from sixport import moments
+from sixport.moments import MAX_POWER, displaced_frame, frame_moments, quadrature_variance
 from sixport.states import LABELS
 
 
@@ -101,3 +105,33 @@ def test_quadratures_agree_across_moment_oracle_and_grid():
     assert report.var_p == pytest.approx(grid_p, rel=1e-12)
     assert report.var_x == pytest.approx(fock_x, rel=1e-9)
     assert report.var_p == pytest.approx(fock_p, rel=1e-9)
+
+
+@pytest.mark.parametrize("pattern", [(2, 1, 1, 1), (2, 2, 1, 2), (3, 2, 1, 1),
+                                     (2, 3, 3, 0), (3, 3, 1, 3)])
+def test_frame_kernel_on_four_to_seven_levels_matches_oracle(pattern):
+    """The kernel on the L = n2 + n3 + 1 levels of a state beyond the table,
+    with the coefficients from the series route, against the number basis."""
+    rng = np.random.default_rng(sum(pattern) * 31 + pattern[0])
+    fact = math.prod(math.factorial(n) for n in pattern)
+    for _ in range(2):
+        spec = HeraldSpec(*pattern, alpha_mag=float(rng.uniform(0.3, 2.0)),
+                          phi=float(rng.uniform(0.2, 2 * np.pi - 0.2)),
+                          theta=float(rng.uniform(-3.0, 3.0)))
+        U = compose(spec.phi)
+        state = general_heralded(spec, U)
+        assert len(state.coeffs) == pattern[0] + pattern[1] + 1
+        fock, probability = herald_state(spec)
+        v, squares, norm = displaced_frame(state.coeffs, state.seed)
+        filtering = math.exp((abs(U[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2)
+        assert norm * filtering / fact == pytest.approx(probability, rel=1e-12)
+        first, n_bar, a_sq = frame_moments(v, squares, norm)
+        # the frame's <a> is the state's, less the displacement
+        assert abs(first + state.seed - expectation(fock, 0, 1)) <= 1e-12
+        for name, want in zip(("var_x", "var_p"), expectation_quadratures(fock)):
+            assert quadrature_variance(name, first, n_bar, a_sq) == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
+        for k in range(MAX_POWER + 1):
+            for l in range(MAX_POWER + 1):
+                want = expectation(fock, k, l)
+                assert abs(moment(state, k, l) - want) <= 1e-12 * max(1.0, abs(want)), (k, l)

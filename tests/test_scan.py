@@ -13,6 +13,7 @@ from sixport import (
     evaluate_point,
     feasibility_mask,
     minimize_variance,
+    pattern_for_label,
     quadratures,
     scan,
     symmetry_report,
@@ -158,16 +159,27 @@ def test_minimize_no_missed_basin():
         assert r.var_min <= np.nanmin(grid.values) + 1e-9
 
 
+def full_axis_grid(label, quantity, res):
+    """The ``scan`` grid with both halves of the phi axis evaluated: ``scan``
+    copies the phi > pi half from its mirror, so only this grid can show an
+    asymmetry of the kernel."""
+    alpha_axis = np.linspace(0.0, 10.0, res)
+    phi_axis = _mirrored_axis(0.0, 2 * np.pi, res)
+    (values,) = _fields(pattern_for_label(label), alpha_axis, phi_axis, (quantity,))
+    return ScanGrid(alpha_axis, phi_axis, values, quantity)
+
+
 def test_symmetry_report_probability_grids():
     for label in ("psi1", "psi5", "psi8", "psi16"):
-        grid = scan(label, "probability", (0.0, 10.0), (0.0, 2 * np.pi), 80)
+        grid = full_axis_grid(label, "probability", 80)
         assert symmetry_report(grid) < 1e-12
 
 
 def test_symmetry_report_variance_grids():
     for label in ("psi5", "psi16"):
-        grid = scan(label, "var_x", (0.0, 10.0), (0.0, 2 * np.pi), 80)
-        assert symmetry_report(grid) < 1e-12
+        for quantity in ("var_x", "var_p"):
+            grid = full_axis_grid(label, quantity, 80)
+            assert symmetry_report(grid) < 1e-12
 
 
 def test_symmetry_report_detects_corruption():

@@ -18,6 +18,7 @@ from sixport import (
     state_fock_vector,
     table1_coeffs,
 )
+from sixport.moments import displaced_frame
 from sixport.states import _poly_fock_vector, row_coefficients
 
 # probability of the (2,0,1,0) herald at alpha=1.5, phi=1.0, frozen after
@@ -115,6 +116,16 @@ def test_normalization_matches_fock_sum():
         beta = complex(rng.normal(), rng.normal())
         vec = _poly_fock_vector(c, beta, 1.0, cutoff=80)
         assert vec.norm_sq == pytest.approx(normalization(*c, beta), rel=1e-12)
+    # the same sum for L = 1..7 levels, with zero levels passed as None
+    for levels in range(1, 8):
+        for _ in range(6):
+            c = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+            c[rng.random(levels) < 0.3] = 0.0
+            c[rng.integers(levels)] = 1.0 - 0.5j      # never the zero state
+            beta = complex(rng.normal(), rng.normal())
+            vec = _poly_fock_vector(c, beta, 1.0, cutoff=80)
+            norm = displaced_frame([None if x == 0 else x for x in c], beta)[2]
+            assert vec.norm_sq == pytest.approx(norm, rel=1e-12), (levels, c, beta)
 
 
 # -- success probability ---------------------------------------------------------
