@@ -1,12 +1,12 @@
 """Three independent routes to the same heralded state.
 
-1. The coefficient table (products of transfer-matrix entries).
-2. Generating-series extraction (works for any photon numbers).
+1. The closed form (weighted products of transfer-matrix entries).
+2. Generating-series extraction.
 3. Brute-force Fock-space simulation (the oracle).
 
 All three must agree on amplitudes, probabilities, and operator moments; the
-script prints the worst deviations, then exercises the series route on a
-herald pattern outside the table (two photons in one ancilla).
+script prints the worst deviations, then runs all three on a herald pattern
+outside the paper's table (two photons in one ancilla).
 """
 import numpy as np
 
@@ -52,8 +52,11 @@ print(f"  Fock-space sum:          {ora:.12f}")
 
 print("\nBeyond the table: two photons into port 2, herald (1, 0):")
 spec2 = HeraldSpec(2, 0, 1, 0, alpha_mag=1.5, phi=1.0)
-series2 = general_heralded(spec2, compose(spec2.phi))
+U2 = compose(spec2.phi)
+closed2 = table1_coeffs(spec2, U2)
+series2 = general_heralded(spec2, U2)
 _, prob2 = herald_state(spec2)
-print(f"  degree {series2.degree} polynomial; coefficients "
-      + ", ".join(f"{c:.5f}" for c in series2.coeffs))
-print(f"  probability: series {series2.probability:.12f} | oracle {prob2:.12f}")
+print("  closed coefficients:  " + ", ".join(f"{c:.5f}" for c in closed2.coeffs))
+print("  series coefficients:  " + ", ".join(f"{c:.5f}" for c in series2.coeffs))
+print(f"  probability: closed {closed2.probability:.12f} | series "
+      f"{series2.probability:.12f} | oracle {prob2:.12f}")

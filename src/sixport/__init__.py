@@ -18,7 +18,6 @@ from .errors import (
     NonpositiveVariance,
     NonzeroConstantTerm,
     OrderOverflow,
-    OutOfTableRange,
     QuantityMismatch,
     ResidualMassTooLarge,
     SeriesOrderTooLarge,
@@ -77,6 +76,7 @@ from .states import (
     ClosedFormState,
     LABELS,
     PATTERNS,
+    PHOTONS_MAX,
     normalization,
     pattern_for_label,
     state_fock_vector,

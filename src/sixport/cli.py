@@ -95,10 +95,10 @@ class Flag:
         return value
 
 
-_N2 = Flag("--n2", int, "ancilla photons into port 2")
-_N3 = Flag("--n3", int, "ancilla photons into port 3")
-_M2 = Flag("--m2", int, "photons measured on port 2")
-_M3 = Flag("--m3", int, "photons measured on port 3")
+_N2 = Flag("--n2", int, "ancilla photons into port 2", budget="PHOTONS_MAX")
+_N3 = replace(_N2, name="--n3", help="ancilla photons into port 3")
+_M2 = replace(_N2, name="--m2", help="photons measured on port 2")
+_M3 = replace(_N2, name="--m3", help="photons measured on port 3")
 _ALPHA = Flag("--alpha", float, "coherent amplitude magnitude")
 _PHI = Flag("--phi", float, "shift phase in radians")
 _CUTOFF = Flag("--cutoff", int, "Fock cutoff override", low=2,
@@ -266,17 +266,12 @@ def _effective_cutoff(args, spec) -> int:
     return default_cutoff(spec)
 
 
-def _family_label(args) -> str:
+def _family(args) -> tuple[int, int, int, int]:
+    """The herald tuple of the --family label, else of --n2 --n3 --m2 --m3."""
     if args.family is not None:
-        pattern_for_label(args.family)  # validates
-        return args.family
+        return pattern_for_label(args.family)
     _require(args, ["n2", "n3", "m2", "m3"])
-    pattern = (args.n2, args.n3, args.m2, args.m3)
-    if pattern not in PATTERNS:
-        raise ValidationError(
-            f"herald tuple {pattern} has no single-photon-level family; "
-            "use --family or keep all numbers in {0, 1}")
-    return f"psi{PATTERNS[pattern]}"
+    return (args.n2, args.n3, args.m2, args.m3)
 
 
 # -- command bodies -----------------------------------------------------------
@@ -303,25 +298,19 @@ def _cmd_state(args) -> str:
     pattern = (spec.n2, spec.n3, spec.m2, spec.m3)
     label = f"psi{PATTERNS[pattern]}" if pattern in PATTERNS else "general"
     _CUTOFF.check(args.cutoff)
-    if args.method == "closed":
-        st = table1_coeffs(spec, compose(spec.phi))
+    if args.method != "oracle":
+        build = table1_coeffs if args.method == "closed" else general_heralded
+        st = build(spec, compose(spec.phi))
         if st.norm < NORM_FLOOR:   # as moments and quadratures refuse it
-            raise HeraldImpossible(f"state {st.label} has zero norm")
-        return _to_json({
-            "c0": st.c0, "c1": st.c1, "c2": st.c2, "seed": st.seed,
-            "norm": st.norm, "probability": st.probability,
-            "label": st.label, "method": "closed",
-        })
-    if args.method == "general":
-        res = general_heralded(spec, compose(spec.phi))
-        if res.norm < NORM_FLOOR:
             raise HeraldImpossible(f"state {label} has zero norm")
-        padded = list(res.coeffs) + [0j] * max(0, 3 - len(res.coeffs))
+        coeffs = list(st.coeffs)
+        c0, c1, c2 = (coeffs + [0j] * 3)[:3]
+        # the series route lists every level; the closed form those past c2
+        listed = {"coeffs": coeffs} if args.method == "general" or len(coeffs) > 3 else {}
         return _to_json({
-            "c0": padded[0], "c1": padded[1], "c2": padded[2],
-            "coeffs": list(res.coeffs), "seed": res.seed,
-            "norm": res.norm, "probability": res.probability,
-            "label": label, "method": "general",
+            "c0": c0, "c1": c1, "c2": c2, **listed, "seed": st.seed,
+            "norm": st.norm, "probability": st.probability,
+            "label": label, "method": args.method,
         })
     cutoff = _effective_cutoff(args, spec)
     state, probability = herald_state(spec, cutoff)
@@ -364,14 +353,14 @@ def _cmd_quadratures(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    label = _family_label(args)
+    family = _family(args)
     _require(args, ["quantity"])
     quantity = {"prob": "probability", "varx": "var_x", "varp": "var_p"}[args.quantity]
     res = _RES.check(args.res)
     if not (args.alpha_min < args.alpha_max and args.phi_min < args.phi_max):
         raise ValidationError("ranges must satisfy min < max")
     try:
-        grid = scan(label, quantity,
+        grid = scan(family, quantity,
                     (args.alpha_min, args.alpha_max),
                     (args.phi_min, args.phi_max), res)
     except ValueError as exc:
@@ -380,8 +369,7 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_optimize(args) -> str:
-    label = _family_label(args)
-    result = minimize_variance(label, coarse_resolution=_COARSE_RES.check(args.coarse_res))
+    result = minimize_variance(_family(args), coarse_resolution=_COARSE_RES.check(args.coarse_res))
     return _to_json({
         "alpha_opt": result.alpha_opt,
         "phi_opt": result.phi_opt,

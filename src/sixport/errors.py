@@ -32,10 +32,6 @@ class VariableMismatch(ValidationError):
     """Two series do not share the same variables and truncation orders."""
 
 
-class OutOfTableRange(ValidationError):
-    """Herald pattern outside the tabulated single-photon-level range."""
-
-
 class SeriesOrderTooLarge(ValidationError):
     """Requested photon numbers exceed the series-order guard."""
 

@@ -38,8 +38,8 @@ PROB_FLOOR = 1e-30       # below this a herald counts as analytically forbidden
 TAIL_FRACTION = 1e-10    # max tolerated |amplitude|^2 fraction at the cutoff
 PHASE_EPS = 1e-10        # relative threshold for "lowest nonzero amplitude"
 RESIDUAL_TOL = 1e-8      # max probability a herald distribution may miss
-# Largest accepted |alpha|.  The closed forms go up to |alpha|^8 (psi16's
-# norm), which stays finite here; far beyond it they overflow to inf/NaN.
+# Largest accepted |alpha|.  A closed form's norm goes up to |alpha|^(2(n + m)),
+# at most |alpha|^24 under ``states.PHOTONS_MAX``: finite here, inf/NaN far beyond.
 ALPHA_MAX = 1e6
 # Largest oracle box in cells, a work budget: the oracle holds two (d1, d2)
 # planes, not the box, and its raising loop sweeps one plane per photon

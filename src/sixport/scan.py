@@ -1,7 +1,8 @@
 """Parameter-space landscapes and squeezing optimization.
 
 Each cell of an (|alpha|, phi) grid is the family's state written as
-D(u11 alpha)|v>, v on the L = 3 levels of (c0, c1, c2), built and reduced to
+D(u11 alpha)|v>, v on the L = max(3, n2 + n3 + 1) levels of the herald tuple
+(n2, n3, m2, m3), L = 3 for the paper's sixteen families, built and reduced to
 moments by the same two helpers as a single state (``moments.displaced_frame``
 and ``frame_moments``), vectorized with numpy.  A computed cell is
 bit-identical to the same point evaluated alone.  Heralds that are
@@ -103,7 +104,9 @@ class OptResult:
 
 
 def _family_pattern(family) -> tuple[int, int, int, int]:
-    """Herald pattern of a family given by label (``psi7``) or index (7)."""
+    """Herald pattern of a family given by label (``psi7``), index (7) or herald tuple."""
+    if isinstance(family, tuple):
+        return family
     return pattern_for_label(family if isinstance(family, str) else f"psi{int(family)}")
 
 

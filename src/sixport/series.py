@@ -32,6 +32,7 @@ from .errors import (HeraldImpossible, NonzeroConstantTerm, OrderOverflow,
                      SeriesOrderTooLarge, VariableMismatch)
 from .moments import MAX_POWER, NORM_FLOOR
 from .oracle import HeraldSpec
+from .states import PHOTONS_MAX
 
 # Exponent vectors may be given as tuples (positional) or mappings
 # {variable name: power}; omitted variables mean power zero.
@@ -297,7 +298,7 @@ def way1_moment_table(spec: HeraldSpec, U: np.ndarray,
 
 @dataclass(frozen=True)
 class GeneralHeraldResult:
-    """Series-extraction result: polynomial-in-a^dagger coefficients over |seed>."""
+    """Series-extraction result: coefficients over |seed>, normed as ``ClosedFormState``."""
     coeffs: np.ndarray      # degree-d coefficient at index d
     seed: complex
     norm: float
@@ -308,23 +309,22 @@ class GeneralHeraldResult:
         return len(self.coeffs) - 1
 
 
-_ORDER_GUARD = 12
-
-
 def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
     """Heralded state for arbitrary photon numbers by series extraction.
 
-    Works for any n2 + n3 + m2 + m3 up to the order guard; on patterns with
-    all numbers in {0, 1} it reproduces the table rows coefficient by
-    coefficient.  The norm's (D + 1)^2 overlaps, D = n2 + n3, come from one
-    series truncated at (D, D, 0, 0).  With the support-bounded
+    Works for any n2 + n3 + m2 + m3 up to ``states.PHOTONS_MAX``.  The
+    extracted coefficients are divided by sqrt(n2! n3! m2! m3!), so they and
+    the norm are ``table1_coeffs``'s, coefficient by coefficient, and the
+    probability is the norm times the filtering factor.  The norm's
+    (D + 1)^2 overlaps, D = n2 + n3, come from one series truncated at
+    (D, D, 0, 0).  With the support-bounded
     ``series_exp`` that took (3, 3, 3, 3) from 16.7 to 5.9 ms (in-process,
     2 vCPUs, median over 12 alternating rounds of the fastest of 15 calls);
     most of what is left is the way-1 trace over its 65,536-cell block.
     """
-    if spec.n2 + spec.n3 + spec.m2 + spec.m3 > _ORDER_GUARD:
+    if spec.n2 + spec.n3 + spec.m2 + spec.m3 > PHOTONS_MAX:
         raise SeriesOrderTooLarge(
-            f"total photon number exceeds the guard {_ORDER_GUARD}")
+            f"total photon number exceeds the guard {PHOTONS_MAX}")
     a = spec.alpha
     u = np.asarray(U, dtype=complex)
     variables = ("s2", "s3", "t2", "t3")
@@ -333,10 +333,11 @@ def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
                                      [({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0])])
 
     degree = spec.n2 + spec.n3
+    fact = math.prod(math.factorial(n) for n in orders)
     coeffs = np.zeros(degree + 1, dtype=complex)
     block = series_exp(FormalSeries.from_terms(variables, orders, _herald_terms(a, u)))
     for d in range(degree + 1):
-        coeffs[d] = extract_derivative(block, orders) / math.factorial(d)
+        coeffs[d] = extract_derivative(block, orders) / math.factorial(d) / math.sqrt(fact)
         if d < degree:
             block = block * ladder
 
@@ -353,6 +354,5 @@ def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
                      * extract_derivative(overlaps, (dl, dr, 0, 0))).real
     # the success probability: the way-1 trace with no moment variables
     trace = extract_derivative(_way1_series(spec, u, 0, 0), orders * 2 + (0, 0))
-    fact = math.prod(math.factorial(n) for n in orders)
     scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
     return GeneralHeraldResult(coeffs, seed, float(norm), float(trace.real * scale))

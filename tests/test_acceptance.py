@@ -30,7 +30,6 @@ from sixport import (
     way1_moment_table,
 )
 from sixport.scan import _fields, _mirrored_axis
-from sixport.states import _poly_fock_vector
 
 GRID = 100
 BOX_ALPHA = (0.0, 10.0)
@@ -209,7 +208,7 @@ def test_criterion_06_general_path():
         res = general_heralded(spec, compose(phi))
         cutoff = default_cutoff(spec)
         reference, prob = herald_state(spec, cutoff)
-        predicted = _poly_fock_vector(res.coeffs, res.seed, res.norm, cutoff)
+        predicted = state_fock_vector(res, cutoff)
         worst_beyond = max(worst_beyond, abs(res.probability - prob), float(
             np.max(np.abs(predicted.amplitudes - reference.amplitudes))))
     ok = worst_row <= 1e-12 and worst_beyond <= 1e-9

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixport import UnknownFamily, ValidationError, VerificationFailed, scan
+from sixport import (HeraldSpec, UnknownFamily, ValidationError, VerificationFailed,
+                     expectation_quadratures, herald_state, scan)
 from sixport.cli import FLAGS, main
 from sixport.verification import run_verification
 
@@ -50,17 +51,22 @@ def test_herald_output_schema(capsys):
 
 
 def test_state_methods_agree(capsys):
-    flags = ["--n2", "1", "--n3", "0", "--m2", "1", "--m3", "0",
-             "--alpha", "1.5", "--phi", "2.5"]
+    for tuple_, label in (((1, 0, 1, 0), "psi8"), ((2, 1, 1, 1), "general")):
+        assert_state_methods_agree(capsys, tuple_, label)
+
+
+def assert_state_methods_agree(capsys, tuple_, label):
+    flags = [*(v for name, n in zip(("--n2", "--n3", "--m2", "--m3"), tuple_)
+               for v in (name, str(n))), "--alpha", "1.5", "--phi", "2.5"]
     _, closed_out, _ = run_cli(capsys, "state", *flags, "--method", "closed")
     _, general_out, _ = run_cli(capsys, "state", *flags, "--method", "general")
     closed = json.loads(closed_out)
     general = json.loads(general_out)
-    assert closed["label"] == "psi8"
-    for key in ("c0", "c1", "c2"):
-        assert closed[key][0] == pytest.approx(general[key][0], abs=1e-12)
-        assert closed[key][1] == pytest.approx(general[key][1], abs=1e-12)
-    assert closed["probability"] == pytest.approx(general["probability"], abs=1e-12)
+    assert closed["label"] == general["label"] == label
+    # the closed form lists its levels only past c2; (2, 1, 1, 1) has four
+    assert ("coeffs" in closed) == (sum(tuple_[:2]) > 2)
+    for key in ("c0", "c1", "c2", "norm", "probability"):
+        assert np.allclose(closed[key], general[key], rtol=0, atol=1e-12), key
 
     _, oracle_out, _ = run_cli(capsys, "state", *flags, "--method", "oracle")
     oracle = json.loads(oracle_out)
@@ -196,10 +202,32 @@ def test_optimize_accepts_herald_tuple_addressing(capsys):
                                 "--m2", "0", "--m3", "0", "--coarse-res", "50")
     assert code == 0
     assert by_family == by_tuple
-    code, _, err = run_cli(capsys, "optimize", "--n2", "2", "--n3", "0",
-                           "--m2", "0", "--m3", "0")
-    assert code == 2
-    assert "family" in json.loads(err)["message"]
+    # a tuple outside the sixteen families is optimized by the same rule
+    code, out, _ = run_cli(capsys, "optimize", "--n2", "2", "--n3", "0",
+                           "--m2", "0", "--m3", "0", "--coarse-res", "50")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "optimize", "--n2", "2", "--n3", "1",
+                           "--m2", "1", "--m3", "1")
+    assert code == 0
+    best = json.loads(out)
+    assert best["var_min"] <= 0.24614
+    spec = HeraldSpec(2, 1, 1, 1, alpha_mag=best["alpha_opt"], phi=best["phi_opt"])
+    state, probability = herald_state(spec)
+    var_x, _ = expectation_quadratures(state)
+    assert abs(var_x - best["var_min"]) <= 1e-9
+    assert abs(probability - best["probability_at_opt"]) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--quantity", "prob", "--res", "2"),
+    ("optimize",),
+    ("state", "--alpha", "1", "--phi", "1", "--method", "closed"),
+])
+def test_negative_herald_tuple_exits_2(capsys, argv):
+    tuple_flags = ("--n2", "1", "--n3", "-1", "--m2", "0", "--m3", "0")
+    code, out, err = run_cli(capsys, argv[0], *tuple_flags, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "non-negative" in json.loads(err)["message"]
 
 
 def test_verify_passes(capsys):

@@ -80,10 +80,11 @@ def reference_heralded(spec, U):
     ladder = FormalSeries.from_terms(variables, orders,
                                      [({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0])])
     degree = spec.n2 + spec.n3
+    fact = math.prod(math.factorial(n) for n in orders)
     coeffs = np.zeros(degree + 1, dtype=complex)
     block = full_box_exp(FormalSeries.from_terms(variables, orders, _herald_terms(a, u)))
     for d in range(degree + 1):
-        coeffs[d] = extract_derivative(block, orders) / math.factorial(d)
+        coeffs[d] = extract_derivative(block, orders) / math.factorial(d) / math.sqrt(fact)
         if d < degree:
             block = block * ladder
     seed = complex(u[0, 0]) * a
@@ -95,7 +96,6 @@ def reference_heralded(spec, U):
             norm += (coeffs[dl] * coeffs[dr].conjugate()
                      * moment_component(dl, dr, 0, 0, seed)).real
     trace = extract_derivative(_way1_series(spec, u, 0, 0), orders * 2 + (0, 0))
-    fact = math.prod(math.factorial(n) for n in orders)
     scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
     return coeffs, seed, float(norm), float(trace.real * scale)
 

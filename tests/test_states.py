@@ -1,25 +1,33 @@
+import itertools
 import math
+from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sixport import (
+    PHOTONS_MAX,
     HeraldImpossible,
     HeraldSpec,
-    OutOfTableRange,
     PATTERNS,
     SeriesOrderTooLarge,
+    WorkTooLarge,
     compose,
     default_cutoff,
+    expectation_quadratures,
     general_heralded,
     herald_state,
+    moment,
     normalization,
     pattern_for_label,
+    quadratures,
     state_fock_vector,
     table1_coeffs,
 )
-from sixport.moments import displaced_frame
-from sixport.states import _poly_fock_vector, row_coefficients
+from sixport.moments import NORM_FLOOR, displaced_frame
+from sixport.oracle import PROB_FLOOR
+from sixport.states import _level_plan, row_coefficients
 
 # probability of the (2,0,1,0) herald at alpha=1.5, phi=1.0, frozen after
 # triple agreement (series extraction, oracle state, oracle distribution)
@@ -60,10 +68,50 @@ def test_row_psi16():
     assert st.seed == pytest.approx(U[0, 0] * alpha)
 
 
-def test_out_of_table_range():
-    spec = HeraldSpec(2, 0, 1, 0, alpha_mag=1.0, phi=1.0)
-    with pytest.raises(OutOfTableRange):
-        table1_coeffs(spec, compose(1.0))
+def partial_matchings(pattern):
+    """The sixteen-row rule written out: one term per partial matching of ports.
+
+    Each term is the indices of its U entries in row order; a level is None
+    or (power of alpha, terms), matchings listed by size, then
+    lexicographically.
+    """
+    n2, n3, m2, m3 = pattern
+    sources = [r for r, n in ((1, n2), (2, n3)) if n]
+    sinks = [k for k, m in ((1, m2), (2, m3)) if m]
+    levels = [None, None, None]
+    for size in range(min(len(sources), len(sinks)) + 1):
+        terms = []
+        for rows in combinations(sources, size):
+            for cols in permutations(sinks, size):
+                term = [*zip(rows, cols), *((0, k) for k in sinks if k not in cols),
+                        *((r, 0) for r in sources if r not in rows)]
+                terms.append(tuple(sorted(term)))
+        levels[len(sources) - size] = (len(sinks) - size, tuple(terms))
+    return tuple(levels)
+
+
+def test_photon_counting_rule_is_partial_matching_on_the_table():
+    for pattern in PATTERNS:
+        plan = _level_plan(pattern)
+        weights = [w for level in plan if level is not None for w, _ in level[1]]
+        assert weights and all(w == 1.0 for w in weights), pattern
+        stripped = tuple(None if level is None else
+                         (level[0], tuple(entries for _, entries in level[1]))
+                         for level in plan)
+        assert stripped == partial_matchings(pattern), pattern
+
+
+def test_herald_past_photons_max_is_work_too_large():
+    U = compose(1.0)
+    for pattern in ((13, 0, 0, 0), (4, 3, 3, 3), (0, 0, 6, 7)):
+        spec = HeraldSpec(*pattern, alpha_mag=1.0, phi=1.0)
+        with pytest.raises(WorkTooLarge):
+            table1_coeffs(spec, U)
+        with pytest.raises(SeriesOrderTooLarge):
+            general_heralded(spec, U)
+    table1_coeffs(HeraldSpec(3, 3, 3, 3, alpha_mag=1.0, phi=1.0), U)   # at the budget
+    with pytest.raises(ValueError):
+        row_coefficients((1, -1, 0, 0), U)
 
 
 def random_unitary(seed):
@@ -79,18 +127,18 @@ def test_matching_rule_on_generic_unitary():
     U = random_unitary(17)
     assert np.allclose(U @ U.conj().T, np.eye(3), atol=1e-14)
     assert len({complex(v) for v in U.reshape(-1)}) == 9
-    for pattern in PATTERNS:
+    for pattern in itertools.product(range(3), repeat=4):
         n, m = pattern[0] + pattern[1], pattern[2] + pattern[3]
         levels = row_coefficients(pattern, U)
         assert [level is not None for level in levels] == [
-            n - min(n, m) <= d <= n for d in range(3)], pattern
+            n - min(n, m) <= d <= n for d in range(max(3, n + 1))], pattern
         for alpha_mag, theta in ((1.3, 0.0), (0.8, 2.5)):
             spec = HeraldSpec(*pattern, alpha_mag=alpha_mag, phi=0.0, theta=theta)
             st = table1_coeffs(spec, U)
             res = general_heralded(spec, U)
-            want = list(res.coeffs) + [0j] * (3 - len(res.coeffs))
-            got = [st.c0, st.c1, st.c2]
-            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (pattern, theta)
+            want = list(res.coeffs) + [0j] * (len(st.coeffs) - len(res.coeffs))
+            assert np.max(np.abs(np.subtract(st.coeffs, want))) <= 1e-12, (pattern, theta)
+            assert abs(st.norm - res.norm) <= 1e-12 * st.norm, (pattern, theta)
             assert abs(st.probability - res.probability) <= 1e-12, (pattern, theta)
 
 
@@ -114,7 +162,7 @@ def test_normalization_matches_fock_sum():
     for _ in range(10):
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
         beta = complex(rng.normal(), rng.normal())
-        vec = _poly_fock_vector(c, beta, 1.0, cutoff=80)
+        vec = state_fock_vector(SimpleNamespace(coeffs=c, seed=beta, norm=1.0), 80)
         assert vec.norm_sq == pytest.approx(normalization(*c, beta), rel=1e-12)
     # the same sum for L = 1..7 levels, with zero levels passed as None
     for levels in range(1, 8):
@@ -123,7 +171,7 @@ def test_normalization_matches_fock_sum():
             c[rng.random(levels) < 0.3] = 0.0
             c[rng.integers(levels)] = 1.0 - 0.5j      # never the zero state
             beta = complex(rng.normal(), rng.normal())
-            vec = _poly_fock_vector(c, beta, 1.0, cutoff=80)
+            vec = state_fock_vector(SimpleNamespace(coeffs=c, seed=beta, norm=1.0), 80)
             norm = displaced_frame([None if x == 0 else x for x in c], beta)[2]
             assert vec.norm_sq == pytest.approx(norm, rel=1e-12), (levels, c, beta)
 
@@ -214,10 +262,10 @@ def test_general_beyond_table_matches_oracle():
     assert res.probability == pytest.approx(GOLDEN_GENERAL_PROB, abs=1e-12)
     _, prob = herald_state(spec)
     assert res.probability == pytest.approx(prob, abs=1e-9)
-    # consistency between the trace extraction and the coefficient norm
-    fact = math.factorial(2)
+    # consistency between the trace extraction and the coefficient norm, the
+    # norm being the probability before the filtering factor
     u11 = compose(1.0)[0, 0]
-    expected = res.norm * math.exp((abs(u11) ** 2 - 1) * 1.5 ** 2) / fact
+    expected = res.norm * math.exp((abs(u11) ** 2 - 1) * 1.5 ** 2)
     assert res.probability == pytest.approx(expected, abs=1e-13)
 
 
@@ -242,6 +290,49 @@ def test_general_order_guard():
     spec = HeraldSpec(5, 4, 2, 2, alpha_mag=1.0, phi=1.0)
     with pytest.raises(SeriesOrderTooLarge):
         general_heralded(spec, compose(1.0))
+
+
+# -- any herald tuple ------------------------------------------------------------------
+
+def test_closed_form_matches_series_and_oracle_on_every_tuple_up_to_three():
+    # one seeded point per tuple; where the oracle's absolute PROB_FLOOR
+    # refuses the herald, the closed form's probability lies below it too
+    rng = np.random.default_rng(2937)
+    for pattern in itertools.product(range(4), repeat=4):
+        alpha, phi = float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 2 * np.pi))
+        spec = HeraldSpec(*pattern, alpha_mag=alpha, phi=phi)
+        U = compose(phi)
+        st = table1_coeffs(spec, U)
+        res = general_heralded(spec, U)
+        want = list(res.coeffs) + [0j] * (len(st.coeffs) - len(res.coeffs))
+        scale = max(abs(c) for c in want)
+        assert np.max(np.abs(np.subtract(st.coeffs, want))) <= 1e-12 * scale, pattern
+        try:
+            state, prob = herald_state(spec)
+        except HeraldImpossible:
+            assert st.probability < PROB_FLOOR, pattern
+            continue
+        assert abs(st.probability - prob) <= 1e-9 * prob, pattern
+        report = quadratures(st)
+        var_x, var_p = expectation_quadratures(state)
+        assert abs(report.var_x - var_x) <= 1e-9, pattern
+        assert abs(report.var_p - var_p) <= 1e-9, pattern
+
+
+def test_every_closed_quantity_is_finite_up_to_photons_max():
+    tuples = [p for p in itertools.product(range(PHOTONS_MAX + 1), repeat=4)
+              if sum(p) == PHOTONS_MAX]
+    assert len(tuples) == 455
+    for phi in (0.0, 2.0, np.pi):
+        U = compose(phi)
+        for alpha in (0.0, 10.0, 1e6):
+            for pattern in tuples:
+                st = table1_coeffs(HeraldSpec(*pattern, alpha_mag=alpha, phi=phi), U)
+                values = [*st.coeffs, st.norm, st.probability]
+                if st.norm >= NORM_FLOOR:
+                    report = quadratures(st)
+                    values += [report.var_x, report.var_p, moment(st, 8, 8)]
+                assert np.all(np.isfinite(values)), (pattern, alpha, phi)
 
 
 # -- invariants ----------------------------------------------------------------------
