@@ -77,7 +77,6 @@ from .states import (
     LABELS,
     PATTERNS,
     PHOTONS_MAX,
-    normalization,
     pattern_for_label,
     state_fock_vector,
     table1_coeffs,

@@ -369,7 +369,11 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_optimize(args) -> str:
-    result = minimize_variance(_family(args), coarse_resolution=_COARSE_RES.check(args.coarse_res))
+    family, coarse_resolution = _family(args), _COARSE_RES.check(args.coarse_res)
+    try:
+        result = minimize_variance(family, coarse_resolution=coarse_resolution)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     return _to_json({
         "alpha_opt": result.alpha_opt,
         "phi_opt": result.phi_opt,

@@ -13,8 +13,9 @@ Each creation operator adds one photon, so after j raising steps the state
 lies on the single plane x0 + x1 + x2 = j + const.  The raising loop carries
 that plane alone (``_planes``) and no box is held: ``herald_state`` keeps the
 one column it reads and ``herald_distribution`` a plane-sized running sum of
-|amplitude|^2.  Every retained amplitude gets the same terms, in the same
-order and with the same rounding, as an update of the whole box would give it.
+|amplitude|^2; one raise can serve several heralds (``_herald_state``).
+Every retained amplitude gets the same terms, in the same order and with the
+same rounding, as an update of the whole box would give it.
 The loop stays in the plain number basis and uses no displaced-frame identity,
 so it remains independent of the closed forms it checks.
 """
@@ -244,27 +245,30 @@ def _planes(U: np.ndarray, n2: int, n3: int, alpha: complex,
             break
 
 
-def _column(planes, x1: int, x2: int, d0: int) -> np.ndarray:
+def _columns(planes, cells, d0: int) -> list[np.ndarray]:
     """Amplitudes at (x0, x1, x2), x0 = 0..d0-1, from the yields of ``_planes``.
 
-    A cell is +0 + amp * vec of its plane.  The first plane's cell is amp * vec
-    itself, -0 where that underflows, plus amp * (+0) for each later term, as
-    a whole-box update adds them.  Each product is taken on the plane array and
-    then indexed, so it rounds as the array loop does.
+    One column per cell (x1, x2, last), from the terms up to plane ``last``:
+    its own raise's column.  A cell is +0 + amp * vec of its plane; the first
+    plane's is amp * vec itself, -0 where that underflows, plus amp * (+0) for
+    each later term, as a whole-box update adds them.  Each product is taken
+    on the plane array and then indexed, so it rounds as the array loop does.
     """
-    column = np.zeros(d0, dtype=complex)
+    columns = [np.zeros(d0, dtype=complex) for _ in cells]
     zero = np.zeros(1, dtype=complex)
-    plane, amp, vec = next(planes)
-    first = plane - x1 - x2
-    if 0 <= first < d0:
-        column[first] = (amp * vec)[x1, x2]
+    first, amp, vec = next(planes)
+    for column, (x1, x2, _) in zip(columns, cells):
+        if 0 <= first - x1 - x2 < d0:
+            column[first - x1 - x2] = (amp * vec)[x1, x2]
     for plane, amp, vec in planes:
-        x0 = plane - x1 - x2
-        if 0 <= x0 < d0:
-            column[x0] += (amp * vec)[x1, x2]
-        if 0 <= first < d0:
-            column[first] += (amp * zero)[0]
-    return column
+        settle = (amp * zero)[0]
+        terms = None if vec is None else amp * vec
+        for column, (x1, x2, last) in zip(columns, cells):
+            if plane <= last and 0 <= plane - x1 - x2 < d0:
+                column[plane - x1 - x2] += terms[x1, x2]
+            if plane <= last and 0 <= first - x1 - x2 < d0:
+                column[first - x1 - x2] += settle
+    return columns
 
 
 def _plane_sum(planes, dims: tuple[int, int, int]) -> np.ndarray:
@@ -272,7 +276,7 @@ def _plane_sum(planes, dims: tuple[int, int, int]) -> np.ndarray:
     d0, d1, d2 = dims
     if d1 * d2 == 1:
         # numpy sums a (d0, 1, 1) box pairwise, not in x0 order; so sum its one column
-        return np.sum(np.abs(_column(planes, 0, 0, d0)) ** 2).reshape(1, 1)
+        return np.sum(np.abs(_columns(planes, [(0, 0, math.inf)], d0)[0]) ** 2).reshape(1, 1)
     probs = np.zeros((d1, d2))
     for _, amp, vec in planes:
         if vec is not None:
@@ -289,18 +293,28 @@ def herald_state(spec: HeraldSpec, cutoff: int | None = None) -> tuple[FockVecto
     """
     if cutoff is None:
         cutoff = default_cutoff(spec)
+    return _herald_state(spec, cutoff, [(spec.m2, spec.m3)], {})
+
+
+def _herald_state(spec: HeraldSpec, cutoff: int, cells, raised: dict) -> tuple[FockVector, float]:
+    """``herald_state(spec, cutoff)`` from one raise for all heralds (m2, m3) in
+    ``cells``, kept in ``raised`` per drive, (n2, n3) and cutoff.  Each column
+    ends at its own j_max, and each read raises its own herald's errors."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     _checked_drive(spec.alpha_mag)
-    dims = _checked_box(cutoff + 1, spec.m2 + 1, spec.m3 + 1)
-    U = compose(spec.phi)
-    j_max = cutoff + spec.m2 + spec.m3 - spec.n2 - spec.n3
-    if j_max < 0:
+    _checked_box(cutoff + 1, spec.m2 + 1, spec.m3 + 1)
+    if cutoff + spec.m2 + spec.m3 - spec.n2 - spec.n3 < 0:
         raise HeraldImpossible(
             f"herald ({spec.m2},{spec.m3}) unreachable below cutoff {cutoff}")
-    amps = _column(_planes(U, spec.n2, spec.n3, spec.alpha, dims, j_max),
-                   spec.m2, spec.m3, dims[0])
-
+    key = (spec.n2, spec.n3, spec.alpha_mag, spec.phi, spec.theta, cutoff)
+    if key not in raised:
+        dims = (cutoff + 1, 1 + max(m2 for m2, _ in cells), 1 + max(m3 for _, m3 in cells))
+        planes = _planes(compose(spec.phi), spec.n2, spec.n3, spec.alpha, dims,
+                         cutoff + max(map(sum, cells)) - spec.n2 - spec.n3)
+        ends = [(m2, m3, cutoff + m2 + m3) for m2, m3 in cells]
+        raised[key] = dict(zip(cells, _columns(planes, ends, dims[0])))
+    amps = raised[key][spec.m2, spec.m3]
     probability = float(np.sum(np.abs(amps) ** 2))
     if probability < PROB_FLOOR:
         raise HeraldImpossible(
@@ -309,8 +323,7 @@ def herald_state(spec: HeraldSpec, cutoff: int | None = None) -> tuple[FockVecto
         raise CutoffInadequate(
             f"cutoff {cutoff} leaves tail fraction "
             f"{abs(amps[cutoff]) ** 2 / probability:.3e}")
-
-    amps /= math.sqrt(probability)
+    amps = amps / math.sqrt(probability)
     return fix_global_phase(FockVector.from_amplitudes(amps)), probability
 
 

@@ -8,14 +8,15 @@ sum.  Coefficients sit in a dense complex ndarray, one axis per variable
 (length = truncation order + 1); terms beyond the truncation are dropped.
 
 No work is spent on exact zeros or repeats.  ``series_exp`` updates only the
-box of coefficients it has reached so far, and ``general_heralded`` takes
-every overlap of its norm from one series, since a coefficient of a longer
-truncation gets the same additions, in the same order, as that of a shorter
-one.  Both give the full computation's bytes.
+box reached so far, and of a ``pinned`` axis only the slice read.  A longer
+truncation gives a coefficient the same additions, in the same order, so the
+series built at one herald tuple serve every tuple below it, bytes and all.
 
 On the engine sit ``general_heralded`` (the state for any photon numbers),
 ``moment_component`` (one projector moment) and way 1, ``way1_moment_table``
-(moments straight from the heralded density operator).  Only ``verification``,
+(moments straight from the heralded density operator); the state and way 1
+build their series at their own tuple (``_state_series``, ``_way1_series``)
+and read it there (``_read_heralded``, ``_read_way1``).  Only ``verification``,
 the tests and ``state --method general`` use this module.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ class FormalSeries:
         return FormalSeries(self.variables, self.orders, out)
 
 
-def series_exp(p: FormalSeries) -> FormalSeries:
+def series_exp(p: FormalSeries, pinned: Collection[str] = ()) -> FormalSeries:
     """exp(p), truncated, as a product of monomial exponentials.
 
     Requires p to have no constant term.  Monomials commute, so exp(p) is the
@@ -141,6 +142,10 @@ def series_exp(p: FormalSeries) -> FormalSeries:
     +0), so each skipped update would have added +-0 and changed no bit.
     For finite coefficients the result is the full-box loop's, byte for
     byte.
+
+    ``pinned`` names variables wanted only at their order: after its last
+    mover only that slice is kept, and the result is a series in the others,
+    that slice of the unpinned result byte for byte.
     """
     if p.coeffs[(0,) * len(p.orders)] != 0:
         raise NonzeroConstantTerm("series_exp requires zero constant term")
@@ -150,8 +155,12 @@ def series_exp(p: FormalSeries) -> FormalSeries:
     top = [1] * len(shape)
     # the terms in row-major order, found on the flat block
     terms = np.flatnonzero(p.coeffs)
-    for exp, c in zip(np.transpose(np.unravel_index(terms, shape)).tolist(),
-                      p.coeffs.reshape(-1)[terms].tolist()):
+    exps = np.transpose(np.unravel_index(terms, shape)).tolist()
+    pins = {_axes(p.variables)[v] for v in pinned}
+    cuts = {}       # the pinned axes under the index of their last mover, -1 if none
+    for axis in pins:
+        cuts.setdefault(max([-1] + [i for i, e in enumerate(exps) if e[axis]]), []).append(axis)
+    for i, (exp, c) in enumerate(zip(exps, p.coeffs.reshape(-1)[terms].tolist())):
         moved = [(axis, e) for axis, e in enumerate(exp) if e]
         nmax = min(p.orders[axis] // e for axis, e in moved)
         # only the moved axes' slices differ between src, dst and the box
@@ -170,7 +179,17 @@ def series_exp(p: FormalSeries) -> FormalSeries:
             out[tuple(dst)] += scale * base[tuple(src)]
         for axis, e in moved:
             top[axis] = min(shape[axis], top[axis] + nmax * e)
-    return FormalSeries(p.variables, p.orders, out)
+        for axis in cuts.get(i, ()):
+            out = out[(slice(None),) * axis + (slice(p.orders[axis], p.orders[axis] + 1),)].copy()
+            top[axis] = 1
+    if not pins:
+        return FormalSeries(p.variables, p.orders, out)
+    # each pinned axis read at its order, at 0 where cut to that slice
+    index = tuple((0 if out.shape[a] == 1 else p.orders[a]) if a in pins else slice(None)
+                  for a in range(len(shape)))
+    kept = [axis for axis in range(len(shape)) if axis not in pins]
+    return FormalSeries([p.variables[a] for a in kept], [p.orders[a] for a in kept],
+                        np.asarray(out[index]))
 
 
 def extract_derivative(series: FormalSeries, index: Exponents) -> complex:
@@ -180,10 +199,12 @@ def extract_derivative(series: FormalSeries, index: Exponents) -> complex:
     index factorials.
     """
     idx = series._index(index)
-    fact = 1.0
-    for e in idx:
-        fact *= math.factorial(e)
-    return complex(series.coeffs[idx]) * fact
+    return complex(series.coeffs[idx]) * _factorials(idx)
+
+
+def _factorials(index) -> float:
+    """The product of the index's factorials, multiplied in order as floats."""
+    return math.prod(map(float, map(math.factorial, index)))
 
 
 # -- projector moments ---------------------------------------------------------
@@ -251,12 +272,12 @@ def _trace_terms(a, u) -> list:
 _WAY1_VARS = ("s2", "s3", "t2", "t3", "f2", "f3", "g2", "g3", "mu", "nu")
 
 
-def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> FormalSeries:
+def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int, pinned=False) -> FormalSeries:
     """Generating series whose mixed derivatives give way-1 moments.
 
     The trace terms gain the generating variables mu (a^dagger) and nu (a).
     The constant |alpha u11|^2 in the exponent is dropped; it cancels in the
-    moment ratio below.
+    moment ratio below.  ``pinned`` keeps the (mu, nu) corner at the tuple.
     """
     a = spec.alpha
     ac = a.conjugate()
@@ -270,7 +291,7 @@ def _way1_series(spec: HeraldSpec, U: np.ndarray, k: int, l: int) -> FormalSerie
     ]
     orders = (spec.n2, spec.n3, spec.m2, spec.m3) * 2 + (k, l)
     poly = FormalSeries.from_terms(_WAY1_VARS, orders, terms)
-    return series_exp(poly)
+    return series_exp(poly, _WAY1_VARS[:8] if pinned else ())
 
 
 def way1_moment_table(spec: HeraldSpec, U: np.ndarray,
@@ -282,15 +303,18 @@ def way1_moment_table(spec: HeraldSpec, U: np.ndarray,
     """
     if not (0 <= kmax <= MAX_POWER and 0 <= lmax <= MAX_POWER):
         raise ValueError(f"moment powers limited to 0..{MAX_POWER}")
-    exp_series = _way1_series(spec, U, kmax, lmax)
+    return _read_way1(spec, _way1_series(spec, U, kmax, lmax, pinned=True).coeffs)
+
+
+def _read_way1(spec: HeraldSpec, corner: np.ndarray) -> np.ndarray:
+    """``way1_moment_table`` from the (mu, nu) block at ``spec``'s herald indices."""
     base = (spec.n2, spec.n3, spec.m2, spec.m3) * 2     # the ket's and the bra's
-    trace = extract_derivative(exp_series, base + (0, 0))
+    trace = complex(corner[0, 0]) * _factorials(base)
     if abs(trace) < NORM_FLOOR:
         raise HeraldImpossible("herald has zero probability")
-    out = np.empty((kmax + 1, lmax + 1), dtype=complex)
-    for k in range(kmax + 1):
-        for l in range(lmax + 1):
-            out[k, l] = extract_derivative(exp_series, base + (k, l)) / trace
+    out = np.empty(corner.shape, dtype=complex)
+    for k, l in np.ndindex(corner.shape):
+        out[k, l] = complex(corner[k, l]) * _factorials(base + (k, l)) / trace
     return out
 
 
@@ -317,34 +341,43 @@ def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
     the norm are ``table1_coeffs``'s, coefficient by coefficient, and the
     probability is the norm times the filtering factor.  The norm's
     (D + 1)^2 overlaps, D = n2 + n3, come from one series truncated at
-    (D, D, 0, 0).  With the support-bounded
-    ``series_exp`` that took (3, 3, 3, 3) from 16.7 to 5.9 ms (in-process,
-    2 vCPUs, median over 12 alternating rounds of the fastest of 15 calls);
-    most of what is left is the way-1 trace over its 65,536-cell block.
+    (D, D, 0, 0); the probability's way-1 series keeps only the corner it
+    reads, at (3, 3, 3, 3) one cell of 65,536.
     """
     if spec.n2 + spec.n3 + spec.m2 + spec.m3 > PHOTONS_MAX:
         raise SeriesOrderTooLarge(
             f"total photon number exceeds the guard {PHOTONS_MAX}")
-    a = spec.alpha
     u = np.asarray(U, dtype=complex)
+    corner = _way1_series(spec, u, 0, 0, pinned=True).coeffs
+    return _read_heralded(spec, u, *_state_series(spec, u), corner)
+
+
+def _state_series(spec: HeraldSpec, u: np.ndarray) -> tuple[list[FormalSeries], FormalSeries]:
+    """The ladder blocks d = 0..D = n2 + n3 and the projector series at (D, D, 0, 0)."""
     variables = ("s2", "s3", "t2", "t3")
     orders = (spec.n2, spec.n3, spec.m2, spec.m3)
     ladder = FormalSeries.from_terms(variables, orders,
                                      [({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0])])
+    blocks = [series_exp(FormalSeries.from_terms(variables, orders, _herald_terms(spec.alpha, u)))]
+    degree = spec.n2 + spec.n3
+    for _ in range(degree):
+        blocks.append(blocks[-1] * ladder)
+    return blocks, _projector_series((degree, degree, 0, 0), complex(u[0, 0]) * spec.alpha)
 
+
+def _read_heralded(spec: HeraldSpec, u: np.ndarray, blocks: list[FormalSeries],
+                   overlaps: FormalSeries, corner: np.ndarray) -> GeneralHeraldResult:
+    """``general_heralded`` from ``_state_series`` and the way-1 block ``corner``."""
+    orders = (spec.n2, spec.n3, spec.m2, spec.m3)
     degree = spec.n2 + spec.n3
     fact = math.prod(math.factorial(n) for n in orders)
     coeffs = np.zeros(degree + 1, dtype=complex)
-    block = series_exp(FormalSeries.from_terms(variables, orders, _herald_terms(a, u)))
     for d in range(degree + 1):
-        coeffs[d] = extract_derivative(block, orders) / math.factorial(d) / math.sqrt(fact)
-        if d < degree:
-            block = block * ladder
+        coeffs[d] = extract_derivative(blocks[d], orders) / math.factorial(d) / math.sqrt(fact)
 
-    seed = complex(u[0, 0]) * a
+    seed = complex(u[0, 0]) * spec.alpha
     # every overlap <seed| a^dr a^dagger^dl |seed> from one series; pairs
     # with a zero coefficient add nothing and are skipped
-    overlaps = _projector_series((degree, degree, 0, 0), seed)
     norm = 0.0
     for dl in range(degree + 1):
         for dr in range(degree + 1):
@@ -353,6 +386,6 @@ def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
             norm += (coeffs[dl] * coeffs[dr].conjugate()
                      * extract_derivative(overlaps, (dl, dr, 0, 0))).real
     # the success probability: the way-1 trace with no moment variables
-    trace = extract_derivative(_way1_series(spec, u, 0, 0), orders * 2 + (0, 0))
+    trace = complex(corner[0, 0]) * _factorials(orders * 2)
     scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
     return GeneralHeraldResult(coeffs, seed, float(norm), float(trace.real * scale))

@@ -151,14 +151,6 @@ def times_alpha(levels, alpha):
                  for level in levels)
 
 
-def normalization(c0, c1, c2, seed):
-    """Norm squared of (c0 + c1 a^dagger + c2 a^dagger^2)|seed>, |seed> normalized.
-
-    The squared length of the state's three-level displaced-frame vector.
-    """
-    return displaced_frame((c0, c1, c2), seed)[2]
-
-
 def table1_coeffs(spec: HeraldSpec, U: np.ndarray) -> ClosedFormState:
     """Closed-form state for any herald tuple of at most ``PHOTONS_MAX`` photons.
 

@@ -227,6 +227,8 @@ def test_negative_herald_tuple_exits_2(capsys, argv):
     tuple_flags = ("--n2", "1", "--n3", "-1", "--m2", "0", "--m3", "0")
     code, out, err = run_cli(capsys, argv[0], *tuple_flags, *argv[1:])
     assert (code, out) == (2, "")
+    # every command names the library's ValueError as a ValidationError
+    assert json.loads(err)["error"] == "ValidationError"
     assert "non-negative" in json.loads(err)["message"]
 
 

@@ -18,9 +18,9 @@ from sixport import (
     evaluate_point,
     herald_state,
     moment,
-    normalization,
     table1_coeffs,
 )
+from sixport.moments import displaced_frame
 
 EPS = np.finfo(float).eps
 
@@ -83,7 +83,7 @@ def test_norm_matches_exact_reference(index):
         cs = [Q(complex(c).real, complex(c).imag) for c in (st.c0, st.c1, st.c2)]
         beta = complex(st.seed)
         exact = raw_moment(cs, Q(beta.real, beta.imag), 0, 0).re
-        assert normalization(st.c0, st.c1, st.c2, st.seed) == pytest.approx(
+        assert displaced_frame((st.c0, st.c1, st.c2), st.seed)[2] == pytest.approx(
             float(exact), rel=1e-15), (alpha, phi)
         # end to end: the table's coefficients carry up to ~10 eps of their
         # own rounding (products of up to four matrix entries, squared)

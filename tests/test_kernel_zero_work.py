@@ -8,7 +8,7 @@ production kernel skips the zero levels, squares each level once and guards
 only grids that hold a forbidden cell.  A skipped term adds an exact zero, so
 the two must agree byte for byte, NaN sentinels included.
 
-The single-state path (``normalization``, ``quadratures`` and ``moment``,
+The single-state path (the frame norm, ``quadratures`` and ``moment``,
 whose values the CLI prints) is held the same way: to ``dense_frame``, the
 three-level frame written out, and to the three-level binomial sum of the
 moments, byte for byte.
@@ -23,10 +23,10 @@ import math
 import numpy as np
 import pytest
 
-from sixport import (HeraldImpossible, HeraldSpec, ScanGrid, compose, moment, normalization,
+from sixport import (HeraldImpossible, HeraldSpec, ScanGrid, compose, moment,
                      quadratures, squeeze_db, symmetry_report, table1_coeffs)
 from sixport.interferometer import closed_form_matrix
-from sixport.moments import MAX_POWER, NORM_FLOOR, quadrature_variance
+from sixport.moments import MAX_POWER, NORM_FLOOR, displaced_frame, quadrature_variance
 from sixport.scan import _fields, _mirrored_axis
 from sixport.states import LABELS
 
@@ -204,7 +204,7 @@ def same_bytes(got, want):
 
 @pytest.mark.parametrize("index", range(1, 17))
 def test_single_state_path_equals_dense_frame(index):
-    """``normalization``, ``quadratures`` and ``moment`` keep the bytes of the
+    """The frame norm, ``quadratures`` and ``moment`` keep the bytes of the
     three-level frame written out: these are the values the CLI prints."""
     for alpha_mag, phi, theta in scalar_points():
         spec = HeraldSpec(*LABELS[index], alpha_mag=alpha_mag, phi=phi, theta=theta)
@@ -213,7 +213,7 @@ def test_single_state_path_equals_dense_frame(index):
         squares = [abs2(x) for x in v]
         norm = squares[0] + squares[1] + squares[2]
         point = (index, alpha_mag, phi, theta)
-        assert same_bytes(normalization(st.c0, st.c1, st.c2, st.seed), norm), point
+        assert same_bytes(displaced_frame((st.c0, st.c1, st.c2), st.seed)[2], norm), point
         assert same_bytes(st.norm, float(norm)), point
         if st.norm < NORM_FLOOR:
             with pytest.raises(HeraldImpossible):

@@ -4,7 +4,7 @@
 photon-number plane: each step rewrites the whole corner of the box its
 photon number can reach, with two box-sized buffers alternating as the
 raised vector.  ``oracle._planes`` carries only the current plane and holds
-no box: ``oracle._column`` reads one column from it and ``oracle._plane_sum``
+no box: ``oracle._columns`` reads columns from it and ``oracle._plane_sum``
 adds |amplitude|^2 plane by plane.  Every skipped update would add +-0 to a
 value that is never -0, so each column, and the sum over the signal axis,
 must agree with the corner loop's box byte for byte, down to the sign of
@@ -86,7 +86,7 @@ def assert_route_gives_box(case, box):
     dims = case[4]
     for x1 in range(dims[1]):
         for x2 in range(dims[2]):
-            column = oracle._column(oracle._planes(*case), x1, x2, dims[0])
+            column, = oracle._columns(oracle._planes(*case), [(x1, x2, math.inf)], dims[0])
             assert column.tobytes() == box[:, x1, x2].tobytes(), (x1, x2)
     probs = oracle._plane_sum(oracle._planes(*case), dims)
     assert probs.tobytes() == np.sum(np.abs(box) ** 2, axis=0).tobytes()
@@ -137,6 +137,32 @@ def _case(phi, n2, n3, alpha, dims, j_max):
 @example(_case(1e-300, 1, 0, 20.0, (3, 1, 1), 5))
 def test_plane_loop_matches_corner_loop_bytes(case):
     assert_route_gives_box(case, corner_output(*case))
+
+
+@st.composite
+def shared_raises(draw):
+    """A raising and, for every cell of its box, the last plane its column takes."""
+    case = draw(raisings())
+    _, n2, n3, _, dims, j_max = case
+    ends = [(x1, x2, n2 + n3 + draw(st.integers(0, j_max)))
+            for x1 in range(dims[1]) for x2 in range(dims[2])]
+    return case, ends
+
+
+@FAST
+@given(shared_raises())
+# gauss * plane underflows to -0 on the first plane; the cells end early
+@example((_case(1e-300, 1, 0, 20.0, (3, 2, 2), 5),
+          [(0, 0, 1), (0, 1, 2), (1, 0, 6), (1, 1, 3)]))
+def test_one_raise_gives_each_cell_its_own_column(shared):
+    # a cell's column from a raise shared with other cells is the one its own
+    # raise, in its own box and ending at its own plane, gives
+    (U, n2, n3, alpha, dims, j_max), ends = shared
+    columns = oracle._columns(oracle._planes(U, n2, n3, alpha, dims, j_max), ends, dims[0])
+    for (x1, x2, last), column in zip(ends, columns):
+        own = oracle._planes(U, n2, n3, alpha, (dims[0], x1 + 1, x2 + 1), last - n2 - n3)
+        want, = oracle._columns(own, [(x1, x2, math.inf)], dims[0])
+        assert column.tobytes() == want.tobytes(), (x1, x2, last)
 
 
 def test_plane_loop_matches_corner_loop_for_herald_boxes():

@@ -27,8 +27,11 @@ from sixport.series import _herald_terms, _way1_series
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
-def full_box_exp(p):
-    """exp(p) by monomial factors, every update over the whole truncation box."""
+def full_box_exp(p, pinned=()):
+    """exp(p) by monomial factors, every update over the whole truncation box.
+
+    The ``pinned`` variables are read at their orders from the whole result.
+    """
     shape = p.coeffs.shape
     out = np.zeros(shape, dtype=complex)
     out[(0,) * len(shape)] = 1.0
@@ -42,7 +45,9 @@ def full_box_exp(p):
             src = tuple(slice(0, m - n * e) for m, e in zip(shape, exp))
             dst = tuple(slice(n * e, None) for e in exp)
             out[dst] += scale * base[src]
-    return FormalSeries(p.variables, p.orders, out)
+    index = tuple(o if v in pinned else slice(None) for v, o in zip(p.variables, p.orders))
+    kept = [(v, o) for v, o in zip(p.variables, p.orders) if v not in pinned]
+    return FormalSeries([v for v, _ in kept], [o for _, o in kept], np.asarray(out[index]))
 
 
 @st.composite
@@ -69,6 +74,23 @@ def polynomials(draw):
     ((1, 0), 0.5 + 1j), ((0, 1), -0.3 + 0.2j), ((1, 1), 0.7 - 0.1j), ((4, 0), 2.0)]))
 def test_exp_matches_full_box_loop_bytes(p):
     assert series_exp(p).coeffs.tobytes() == full_box_exp(p).coeffs.tobytes()
+
+
+@FAST
+@given(polynomials().flatmap(
+    lambda p: st.tuples(st.just(p), st.sets(st.sampled_from(p.variables)))))
+# w is pinned at once (its one term lies past the truncation), y after its
+# last mover y z, and the x and x z factors come after that
+@example((FormalSeries.from_terms(("x", "y", "z", "w"), (2, 1, 2, 1), [
+    ((0, 1, 0, 0), 0.5 + 1j), ((0, 1, 1, 0), -0.3 + 0.2j), ((1, 0, 0, 0), 0.7 - 0.1j),
+    ((1, 0, 1, 0), -1.1 - 0.4j), ((0, 0, 0, 2), 2.0)]), {"y", "w"}))
+def test_pinned_exp_is_the_full_box_slice(case):
+    # pinned axes keep only the slice at their order: the same bytes as that
+    # slice of the whole block, for axes that no term moves too
+    p, pins = case
+    got, want = series_exp(p, pins), full_box_exp(p, pins)
+    assert got.variables == want.variables and got.orders == want.orders
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def reference_heralded(spec, U):

@@ -84,5 +84,5 @@ def test_oracle_public_functions_are_the_entry_points():
               and value.__module__ == oracle.__name__}
     assert public == {"default_cutoff", "default_herald_max", "herald_state",
                       "fix_global_phase", "expectation", "herald_distribution"}
-    for helper in ("_planes", "_column", "_plane_sum", "_raise_plane", "_plane_tables"):
+    for helper in ("_planes", "_columns", "_plane_sum", "_raise_plane", "_plane_tables"):
         assert callable(getattr(oracle, helper))
