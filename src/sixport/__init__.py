@@ -20,7 +20,6 @@ from .errors import (
     OrderOverflow,
     QuantityMismatch,
     ResidualMassTooLarge,
-    SeriesOrderTooLarge,
     SixportError,
     UnknownFamily,
     ValidationError,
@@ -65,15 +64,13 @@ from .scan import (
 )
 from .series import (
     FormalSeries,
-    GeneralHeraldResult,
     extract_derivative,
     general_heralded,
-    moment_component,
     series_exp,
     way1_moment_table,
 )
 from .states import (
-    ClosedFormState,
+    HeraldedState,
     LABELS,
     PATTERNS,
     PHOTONS_MAX,

@@ -31,9 +31,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ComputationError, HeraldImpossible, ValidationError
+from .errors import ComputationError, ValidationError
 from .interferometer import compose
-from .moments import (MAX_POWER, NORM_FLOOR, expectation_quadratures, moment, quadratures,
+from .moments import (MAX_POWER, check_norm, expectation_quadratures, moment, quadratures,
                       squeeze_db)
 from .oracle import (
     HeraldSpec,
@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .scan import minimize_variance, scan
 from .series import general_heralded
-from .states import PATTERNS, pattern_for_label, table1_coeffs
+from .states import family_label, pattern_for_label, table1_coeffs
 from .verification import run_verification
 
 ENV_CUTOFF = "SIXPORT_CUTOFF"
@@ -295,28 +295,24 @@ def _cmd_herald(args) -> str:
 
 def _cmd_state(args) -> str:
     spec = _spec_from_args(args)
-    pattern = (spec.n2, spec.n3, spec.m2, spec.m3)
-    label = f"psi{PATTERNS[pattern]}" if pattern in PATTERNS else "general"
     _CUTOFF.check(args.cutoff)
     if args.method != "oracle":
         build = table1_coeffs if args.method == "closed" else general_heralded
         st = build(spec, compose(spec.phi))
-        if st.norm < NORM_FLOOR:   # as moments and quadratures refuse it
-            raise HeraldImpossible(f"state {label} has zero norm")
-        coeffs = list(st.coeffs)
-        c0, c1, c2 = (coeffs + [0j] * 3)[:3]
+        check_norm(st)
         # the series route lists every level; the closed form those past c2
-        listed = {"coeffs": coeffs} if args.method == "general" or len(coeffs) > 3 else {}
+        listed = {"coeffs": st.coeffs} if args.method == "general" or len(st.coeffs) > 3 else {}
         return _to_json({
-            "c0": c0, "c1": c1, "c2": c2, **listed, "seed": st.seed,
+            "c0": st.c0, "c1": st.c1, "c2": st.c2, **listed, "seed": st.seed,
             "norm": st.norm, "probability": st.probability,
-            "label": label, "method": args.method,
+            "label": st.label, "method": args.method,
         })
     cutoff = _effective_cutoff(args, spec)
     state, probability = herald_state(spec, cutoff)
     return _to_json({
         "c0": None, "c1": None, "c2": None, "seed": None, "norm": None,
-        "probability": probability, "label": label,
+        "probability": probability,
+        "label": family_label((spec.n2, spec.n3, spec.m2, spec.m3)),
         "amplitudes": list(state.amplitudes), "cutoff_used": cutoff,
         "method": "oracle",
     })

@@ -32,10 +32,6 @@ class VariableMismatch(ValidationError):
     """Two series do not share the same variables and truncation orders."""
 
 
-class SeriesOrderTooLarge(ValidationError):
-    """Requested photon numbers exceed the series-order guard."""
-
-
 class NonpositiveVariance(ValidationError):
     """A variance must be strictly positive."""
 

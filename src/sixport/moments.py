@@ -97,16 +97,21 @@ def frame_moments(v, squares, norm):
     return first, n_bar, 0.0 if a_sq is None else a_sq / norm
 
 
+def check_norm(state) -> None:
+    """Refuse a state whose norm is below ``NORM_FLOOR``: its herald is impossible."""
+    if state.norm < NORM_FLOOR:
+        raise HeraldImpossible(f"state {state.label} has zero norm")
+
+
 def _state_frame(state):
     """The displaced-frame vector of a state and its squares, as Python scalars."""
-    if state.norm < NORM_FLOOR:
-        raise HeraldImpossible(f"state {getattr(state, 'label', 'general')} has zero norm")
+    check_norm(state)
     v, squares, _ = displaced_frame(state.coeffs, state.seed)
     return [complex(x) for x in v], [float(x) for x in squares]
 
 
 def moment(state, k: int, l: int) -> complex:
-    """<a^dagger^k a^l> on a ``ClosedFormState`` or ``GeneralHeraldResult``.
+    """<a^dagger^k a^l> on a ``states.HeraldedState``.
 
     ``state`` carries ``coeffs``, the coherent seed beta, and the norm.  With
     a -> a + beta in the displaced frame the moment is the sum of

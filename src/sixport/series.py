@@ -12,12 +12,13 @@ box reached so far, and of a ``pinned`` axis only the slice read.  A longer
 truncation gives a coefficient the same additions, in the same order, so the
 series built at one herald tuple serve every tuple below it, bytes and all.
 
-On the engine sit ``general_heralded`` (the state for any photon numbers),
-``moment_component`` (one projector moment) and way 1, ``way1_moment_table``
-(moments straight from the heralded density operator); the state and way 1
-build their series at their own tuple (``_state_series``, ``_way1_series``)
-and read it there (``_read_heralded``, ``_read_way1``).  Only ``verification``,
-the tests and ``state --method general`` use this module.
+On the engine sit ``general_heralded`` (the state for any photon numbers, a
+``states.HeraldedState`` as the closed form's) and way 1,
+``way1_moment_table`` (moments straight from the heralded density operator);
+the state and way 1 build their series at their own tuple (``_state_series``,
+``_way1_series``) and read it there (``_read_heralded``, ``_read_way1``).
+Only ``verification``, the tests and ``state --method general`` use this
+module.
 """
 
 from __future__ import annotations
@@ -25,15 +26,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HeraldImpossible, NonzeroConstantTerm, OrderOverflow,
-                     SeriesOrderTooLarge, VariableMismatch)
+from .errors import HeraldImpossible, NonzeroConstantTerm, OrderOverflow, VariableMismatch
 from .moments import MAX_POWER, NORM_FLOOR
 from .oracle import HeraldSpec
-from .states import PHOTONS_MAX
+from .states import HeraldedState, check_photons, family_label
 
 # Exponent vectors may be given as tuples (positional) or mappings
 # {variable name: power}; omitted variables mean power zero.
@@ -209,24 +208,15 @@ def _factorials(index) -> float:
 
 # -- projector moments ---------------------------------------------------------
 
-def moment_component(h_l: int, h_r: int, k: int, l: int, seed: complex) -> complex:
-    """<a^dagger^k a^l> on the projector a^dagger^{h_l} |seed><seed| a^{h_r}.
-
-    The coherent state |seed> is normalized; the result is the trace
-    Tr[a^dagger^k a^l a^dagger^{h_l} |seed><seed| a^{h_r}], obtained as the
-    (h_l, h_r, k, l) mixed derivative at zero of
-    exp(s nu + t mu + s t) * exp((nu + t) seed + (s + mu) conj(seed)).
-    """
-    orders = (h_l, h_r, k, l)
-    return extract_derivative(_projector_series(orders, seed), orders)
-
-
 def _projector_series(orders: tuple[int, int, int, int], seed: complex) -> FormalSeries:
-    """The generating series of ``moment_component``, truncated at ``orders``.
+    """Projector moments, truncated at ``orders``.
 
-    Its (h_l, h_r, k, l) coefficient depends only on the terms that can reach
-    it, so one series truncated at (D, D, k, l) holds every projector pair up
-    to D, each bit for bit as its own series would.
+    With |seed> normalized, Tr[a^dagger^k a^l a^dagger^{h_l} |seed><seed|
+    a^{h_r}] is the (h_l, h_r, k, l) mixed derivative at zero of
+    exp(s nu + t mu + s t) * exp((nu + t) seed + (s + mu) conj(seed)).  That
+    coefficient depends only on the terms that can reach it, so one series
+    truncated at (D, D, k, l) holds every projector pair up to D, each bit
+    for bit as its own series would.
     """
     seed = complex(seed)
     seed_c = seed.conjugate()
@@ -320,33 +310,20 @@ def _read_way1(spec: HeraldSpec, corner: np.ndarray) -> np.ndarray:
 
 # -- the heralded state for any photon numbers --------------------------------
 
-@dataclass(frozen=True)
-class GeneralHeraldResult:
-    """Series-extraction result: coefficients over |seed>, normed as ``ClosedFormState``."""
-    coeffs: np.ndarray      # degree-d coefficient at index d
-    seed: complex
-    norm: float
-    probability: float
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def general_heralded(spec: HeraldSpec, U: np.ndarray) -> GeneralHeraldResult:
+def general_heralded(spec: HeraldSpec, U: np.ndarray) -> HeraldedState:
     """Heralded state for arbitrary photon numbers by series extraction.
 
-    Works for any n2 + n3 + m2 + m3 up to ``states.PHOTONS_MAX``.  The
-    extracted coefficients are divided by sqrt(n2! n3! m2! m3!), so they and
-    the norm are ``table1_coeffs``'s, coefficient by coefficient, and the
-    probability is the norm times the filtering factor.  The norm's
-    (D + 1)^2 overlaps, D = n2 + n3, come from one series truncated at
-    (D, D, 0, 0); the probability's way-1 series keeps only the corner it
-    reads, at (3, 3, 3, 3) one cell of 65,536.
+    Works for any n2 + n3 + m2 + m3 up to ``states.PHOTONS_MAX``, as
+    ``states.check_photons`` holds it.  The extracted coefficients are
+    divided by sqrt(n2! n3! m2! m3!), so they and the norm are
+    ``table1_coeffs``'s, coefficient by coefficient, and the probability is
+    the norm times the filtering factor.  The norm's (D + 1)^2 overlaps,
+    D = n2 + n3, come from one series truncated at (D, D, 0, 0); the
+    probability's way-1 series keeps only the corner it reads, at
+    (3, 3, 3, 3) one cell of 65,536.  The state lists its levels up to D,
+    where the closed form lists at least three.
     """
-    if spec.n2 + spec.n3 + spec.m2 + spec.m3 > PHOTONS_MAX:
-        raise SeriesOrderTooLarge(
-            f"total photon number exceeds the guard {PHOTONS_MAX}")
+    check_photons((spec.n2, spec.n3, spec.m2, spec.m3))
     u = np.asarray(U, dtype=complex)
     corner = _way1_series(spec, u, 0, 0, pinned=True).coeffs
     return _read_heralded(spec, u, *_state_series(spec, u), corner)
@@ -359,28 +336,28 @@ def _state_series(spec: HeraldSpec, u: np.ndarray) -> tuple[list[FormalSeries], 
     ladder = FormalSeries.from_terms(variables, orders,
                                      [({"s2": 1}, u[1, 0]), ({"s3": 1}, u[2, 0])])
     blocks = [series_exp(FormalSeries.from_terms(variables, orders, _herald_terms(spec.alpha, u)))]
-    degree = spec.n2 + spec.n3
-    for _ in range(degree):
+    top = spec.n2 + spec.n3
+    for _ in range(top):
         blocks.append(blocks[-1] * ladder)
-    return blocks, _projector_series((degree, degree, 0, 0), complex(u[0, 0]) * spec.alpha)
+    return blocks, _projector_series((top, top, 0, 0), complex(u[0, 0]) * spec.alpha)
 
 
 def _read_heralded(spec: HeraldSpec, u: np.ndarray, blocks: list[FormalSeries],
-                   overlaps: FormalSeries, corner: np.ndarray) -> GeneralHeraldResult:
+                   overlaps: FormalSeries, corner: np.ndarray) -> HeraldedState:
     """``general_heralded`` from ``_state_series`` and the way-1 block ``corner``."""
     orders = (spec.n2, spec.n3, spec.m2, spec.m3)
-    degree = spec.n2 + spec.n3
+    top = spec.n2 + spec.n3
     fact = math.prod(math.factorial(n) for n in orders)
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    for d in range(degree + 1):
+    coeffs = np.zeros(top + 1, dtype=complex)
+    for d in range(top + 1):
         coeffs[d] = extract_derivative(blocks[d], orders) / math.factorial(d) / math.sqrt(fact)
 
     seed = complex(u[0, 0]) * spec.alpha
     # every overlap <seed| a^dr a^dagger^dl |seed> from one series; pairs
     # with a zero coefficient add nothing and are skipped
     norm = 0.0
-    for dl in range(degree + 1):
-        for dr in range(degree + 1):
+    for dl in range(top + 1):
+        for dr in range(top + 1):
             if coeffs[dl] == 0 or coeffs[dr] == 0:
                 continue
             norm += (coeffs[dl] * coeffs[dr].conjugate()
@@ -388,4 +365,5 @@ def _read_heralded(spec: HeraldSpec, u: np.ndarray, blocks: list[FormalSeries],
     # the success probability: the way-1 trace with no moment variables
     trace = complex(corner[0, 0]) * _factorials(orders * 2)
     scale = math.exp((abs(u[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2) / fact
-    return GeneralHeraldResult(coeffs, seed, float(norm), float(trace.real * scale))
+    return HeraldedState(tuple(coeffs.tolist()), seed, float(norm),
+                         float(trace.real * scale), family_label(orders))

@@ -8,7 +8,8 @@ photon number in {0, 1}, are the three levels (c0, c1, c2).  This module
 holds that rule; the norm, which is the squared length of the
 displaced-frame vector v of D(u11 alpha)|v> (``moments.displaced_frame``);
 the success probability, the norm times the coherent filtering factor; and
-the number-basis amplitudes of the state.
+the number-basis amplitudes of the state.  ``HeraldedState`` is also the
+result of the series route, ``series.general_heralded``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CutoffInadequate, HeraldImpossible, UnknownFamily, WorkTooLarge
-from .moments import NORM_FLOOR, displaced_frame
+from .errors import CutoffInadequate, UnknownFamily, WorkTooLarge
+from .moments import check_norm, displaced_frame
 from .oracle import TAIL_FRACTION, FockVector, HeraldSpec, fix_global_phase
 
 # Most photons n2 + n3 + m2 + m3 a closed form is built for, a work budget.
@@ -64,9 +65,24 @@ def pattern_for_label(label: str) -> tuple[int, int, int, int]:
         raise UnknownFamily(f"unknown family label {label!r}") from None
 
 
+def family_label(pattern) -> str:
+    """``psiN`` for the paper's sixteen herald tuples, else ``general``."""
+    index = PATTERNS.get(tuple(pattern))
+    return "general" if index is None else f"psi{index}"
+
+
+def check_photons(pattern) -> None:
+    """Refuse a negative photon count (``ValueError``) and over ``PHOTONS_MAX`` photons."""
+    if min(pattern) < 0:
+        raise ValueError(f"herald photon numbers must be non-negative, got {pattern}")
+    if sum(pattern) > PHOTONS_MAX:
+        raise WorkTooLarge(f"herald {pattern} has {sum(pattern)} photons, "
+                           f"over PHOTONS_MAX = {PHOTONS_MAX}")
+
+
 @dataclass(frozen=True)
-class ClosedFormState:
-    """Coefficients of sum_d coeffs[d] a^dagger^d |seed>, d = 0..max(2, n2 + n3)."""
+class HeraldedState:
+    """sum_d coeffs[d] a^dagger^d |seed>, coeffs Python complex; c0..c2 are 0j past the last."""
     coeffs: tuple[complex, ...]
     seed: complex
     norm: float
@@ -74,8 +90,8 @@ class ClosedFormState:
     label: str
 
     c0 = property(lambda self: self.coeffs[0])
-    c1 = property(lambda self: self.coeffs[1])
-    c2 = property(lambda self: self.coeffs[2])
+    c1 = property(lambda self: self.coeffs[1] if len(self.coeffs) > 1 else 0j)
+    c2 = property(lambda self: self.coeffs[2] if len(self.coeffs) > 2 else 0j)
 
 
 @lru_cache(maxsize=None)
@@ -93,15 +109,10 @@ def _level_plan(pattern):
     unmatched source photons and carries alpha^k, k = m - n + d.  Per level:
     None if no term reaches it, else (k, terms), a term being (weight, the
     indices of its U entries in row order with repeats), listed by matched
-    total, then by count matrix in descending lexicographic order.  A
-    negative count raises ``ValueError``, over ``PHOTONS_MAX`` photons
-    ``WorkTooLarge``.
+    total, then by count matrix in descending lexicographic order.  The
+    pattern must pass ``check_photons``.
     """
-    if min(pattern) < 0:
-        raise ValueError(f"herald photon numbers must be non-negative, got {pattern}")
-    if sum(pattern) > PHOTONS_MAX:
-        raise WorkTooLarge(f"herald {pattern} has {sum(pattern)} photons, "
-                           f"over PHOTONS_MAX = {PHOTONS_MAX}")
+    check_photons(pattern)
     n2, n3, m2, m3 = pattern
     sources = [(r, n) for r, n in ((1, n2), (2, n3)) if n]
     sinks = [(k, m) for k, m in ((1, m2), (2, m3)) if m]
@@ -151,11 +162,8 @@ def times_alpha(levels, alpha):
                  for level in levels)
 
 
-def table1_coeffs(spec: HeraldSpec, U: np.ndarray) -> ClosedFormState:
-    """Closed-form state for any herald tuple of at most ``PHOTONS_MAX`` photons.
-
-    Its label is ``psiN`` for the paper's sixteen tuples, else ``general``.
-    """
+def table1_coeffs(spec: HeraldSpec, U: np.ndarray) -> HeraldedState:
+    """Closed-form state for any herald tuple of at most ``PHOTONS_MAX`` photons."""
     pattern = (spec.n2, spec.n3, spec.m2, spec.m3)
     levels = row_coefficients(pattern, U)
     # The level without an alpha factor (k == 0) and the zero levels get
@@ -167,17 +175,14 @@ def table1_coeffs(spec: HeraldSpec, U: np.ndarray) -> ClosedFormState:
     seed = complex(U[0, 0]) * spec.alpha
     norm = float(displaced_frame(coeffs, seed)[2])
     prob = norm * math.exp((abs(U[0, 0]) ** 2 - 1.0) * spec.alpha_mag ** 2)
-    index = PATTERNS.get(pattern)
-    return ClosedFormState(coeffs, seed, norm, prob,
-                           "general" if index is None else f"psi{index}")
+    return HeraldedState(coeffs, seed, norm, prob, family_label(pattern))
 
 
-def state_fock_vector(state, cutoff: int) -> FockVector:
-    """Number-basis amplitudes of a ``ClosedFormState`` or ``GeneralHeraldResult``."""
+def state_fock_vector(state: HeraldedState, cutoff: int) -> FockVector:
+    """Number-basis amplitudes of a ``HeraldedState``."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    if state.norm < NORM_FLOOR:
-        raise HeraldImpossible("state has zero norm")
+    check_norm(state)
     seed = state.seed
     coherent = np.zeros(cutoff + 1, dtype=complex)
     coherent[0] = math.exp(-0.5 * abs(seed) ** 2)

@@ -102,8 +102,7 @@ def _check_sample(alpha_mag: float, phi: float, dev: dict) -> None:
         general = _read_heralded(spec, U, *state_series, corner)
 
         table_coeffs = np.array([closed.c0, closed.c1, closed.c2])
-        gen_coeffs = np.zeros(3, dtype=complex)
-        gen_coeffs[: len(general.coeffs)] = general.coeffs
+        gen_coeffs = np.array([general.c0, general.c1, general.c2])
         dev["table_vs_general_coeffs"] = max(
             dev["table_vs_general_coeffs"],
             float(np.max(np.abs(table_coeffs - gen_coeffs))))

@@ -17,13 +17,14 @@ from sixport import (
     general_heralded,
     herald_state,
     moment,
-    moment_component,
     quadratures,
     table1_coeffs,
 )
 from sixport import moments
 from sixport.moments import MAX_POWER, displaced_frame, frame_moments, quadrature_variance
 from sixport.states import LABELS
+
+from projector import moment_component
 
 
 def series_moment(state, k, l):

@@ -11,13 +11,14 @@ from sixport import (
     expectation_quadratures,
     herald_state,
     moment,
-    moment_component,
     quadratures,
     squeeze_db,
     table1_coeffs,
     way1_moment_table,
 )
 from sixport.states import PATTERNS
+
+from projector import moment_component
 
 
 def closed_state(pattern, alpha, phi):
